@@ -4,10 +4,10 @@ representation."""
 
 __version__ = "0.1.0"
 
-from .geometry import (MarkedPoint, Window, Configuration, SpatialGrid,
-                       balls_overlap, ball_inside_window, neighbor_candidates)
+from .geometry import (MarkedPoint, Window, Configuration, balls_overlap,
+                       ball_inside_window)
 from .distributions import (DiracRadius, UniformRadius, ExponentialRadius,
-                            ParetoRadius, AtomMixtureRadius, sample_radius,
+                            ParetoRadius, AtomMixtureRadius,
                             classify_integrability, check_coverage_condition,
                             q_tilde_transform, law_from_spec)
 from .components import (connected_components, crossing_exists,

@@ -43,7 +43,8 @@ parameter columns, then ``replica`` and ``seed``, and end with ``error``):
 
 Law records use the field names of :func:`wrsim.distributions.law_from_spec`,
 e.g. ``{"kind": "pareto", "alpha": 1.5, "xmin": 1.0}``.  Unknown keys
-anywhere in the config are hard errors.
+anywhere, and values that do not build at any sweep point, are hard errors
+raised before any sampling.
 
 Replica seeds derive from the master seed through a splitmix64-style mix
 with the documented constants below, so a (config, seed) pair fixes every
@@ -150,6 +151,22 @@ class ExperimentConfig:
         self.fmt = fmt
         self.threads = threads
         self.dump_samples = dump_samples
+        self.inputs = self._resolve_points()
+
+    def _resolve_points(self):
+        """Sampler inputs (laws, boundary, parameter objects) of every sweep
+        point, built before any sampling so that a bad value is a config
+        error and not a failed row."""
+        inputs, problems = [], []
+        for pi, point in enumerate(sweep_plan(self)):
+            try:
+                inputs.append(_RESOLVERS[self.kind]({**self.params, **point}))
+            except (ValueError, TypeError, KeyError) as exc:
+                where = f"sweep point {pi} {point}" if point else "params"
+                problems.append(f"{where}: {exc}")
+        if problems:
+            raise ConfigError(problems)
+        return inputs
 
     @classmethod
     def from_dict(cls, raw, overrides=None):
@@ -272,9 +289,11 @@ def _window_from(value):
     return Window(value[0], value[1])
 
 
-def _boundary_from(value, q):
+def _boundary_from(value):
     if value is None:
         return BoundaryCondition.free()
+    if not isinstance(value, dict):
+        raise ValueError("boundary must be an object with a 'kind'")
     kind = value.get("kind")
     if kind == "free":
         if set(value) != {"kind"}:
@@ -287,18 +306,32 @@ def _boundary_from(value, q):
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
+def _laws_from(law, q):
+    """One law per colour: a list of records, or one record for all q."""
+    if isinstance(law, list):
+        return tuple(law_from_spec(s) for s in law)
+    return (law_from_spec(law),) * q
+
+
 def _gibbs_from(merged):
     q = int(merged["q"])
     z = merged["z"]
     z = tuple(float(v) for v in z) if isinstance(z, list) else (float(z),) * q
-    law = merged["law"]
-    if isinstance(law, list):
-        laws = tuple(law_from_spec(s) for s in law)
-    else:
-        laws = (law_from_spec(law),) * q
-    window = _window_from(merged["window"])
-    boundary = _boundary_from(merged.get("boundary"), q)
-    return GibbsParams(q=q, z=z, laws=laws, window=window, boundary=boundary)
+    return GibbsParams(q=q, z=z, laws=_laws_from(merged["law"], q),
+                       window=_window_from(merged["window"]),
+                       boundary=_boundary_from(merged.get("boundary")))
+
+
+def _symmetric_gibbs_from(merged):
+    params = _gibbs_from(merged)
+    if len(set(params.z)) != 1 or len(set(params.laws)) != 1:
+        raise ValueError("fk-compare requires symmetric activities and laws")
+    return params
+
+
+def _crcm_from(merged):
+    return (_window_from(merged["window"]), float(merged["z"]),
+            law_from_spec(merged["law"]), float(merged["q"]))
 
 
 def _slab_from(merged):
@@ -318,8 +351,7 @@ def _point_cell(value):
 
 # ---------------------------------------------------------------- runners
 
-def _wr_chain_rows(cfg, merged, rng, with_geometry):
-    params = _gibbs_from(merged)
+def _wr_chain_rows(cfg, merged, params, rng, with_geometry):
     chain = WidomRowlinsonChain(params, rng)
     burn = cfg.sweeps // 2
     totals = []
@@ -350,21 +382,21 @@ def _wr_chain_rows(cfg, merged, rng, with_geometry):
     return row, state, chain
 
 
-def _run_wr_sample(cfg, merged, rng):
-    row, state, chain = _wr_chain_rows(cfg, merged, rng, with_geometry=True)
+def _run_wr_sample(cfg, merged, params, rng):
+    row, state, chain = _wr_chain_rows(cfg, merged, params, rng,
+                                       with_geometry=True)
     return [row], state
 
 
-def _run_phase_sweep(cfg, merged, rng):
-    row, state, chain = _wr_chain_rows(cfg, merged, rng, with_geometry=False)
+def _run_phase_sweep(cfg, merged, params, rng):
+    row, state, chain = _wr_chain_rows(cfg, merged, params, rng,
+                                       with_geometry=False)
     return [row], state
 
 
-def _run_crcm_sample(cfg, merged, rng):
-    q = float(merged["q"])
-    law = law_from_spec(merged["law"])
-    window = _window_from(merged["window"])
-    chain = RandomClusterChain(window, float(merged["z"]), law, q, rng)
+def _run_crcm_sample(cfg, merged, inputs, rng):
+    window, z, law, q = inputs
+    chain = RandomClusterChain(window, z, law, q, rng)
     burn = cfg.sweeps // 2
     counts = []
     for s in range(cfg.sweeps):
@@ -385,10 +417,7 @@ def _run_crcm_sample(cfg, merged, rng):
     return [row], None
 
 
-def _run_fk_compare(cfg, merged, rng):
-    params = _gibbs_from(merged)
-    if len(set(params.z)) != 1 or len(set(params.laws)) != 1:
-        raise ValueError("fk-compare requires symmetric activities and laws")
+def _run_fk_compare(cfg, merged, params, rng):
     q = params.q
     cluster = RandomClusterChain(params.window, params.z[0], params.laws[0],
                                  q, rng)
@@ -410,8 +439,7 @@ def _run_fk_compare(cfg, merged, rng):
     return rows, None
 
 
-def _run_domination(cfg, merged, rng):
-    params = _gibbs_from(merged)
+def _run_domination(cfg, merged, params, rng):
     threshold = merged.get("threshold")
     if threshold is None:
         threshold = round(params.expected_count)
@@ -429,8 +457,7 @@ def _run_domination(cfg, merged, rng):
     return [row], None
 
 
-def _run_slab_renewal(cfg, merged, rng):
-    params = _slab_from(merged)
+def _run_slab_renewal(cfg, merged, params, rng):
     config = sample_slab(params, rng)
     row = {
         "n": params.n,
@@ -446,14 +473,11 @@ def _run_slab_renewal(cfg, merged, rng):
     return [row], None
 
 
-def _run_entropy_certificate(cfg, merged, rng):
+def _run_entropy_certificate(cfg, merged, laws, rng):
     q = int(merged["q"])
     alpha = tuple(float(a) for a in merged["alpha"])
     m_side = float(merged["m_side"])
     d = int(merged["d"])
-    law = merged["law"]
-    laws = ([law_from_spec(s) for s in law] if isinstance(law, list)
-            else [law_from_spec(law)] * q)
     probes = int(merged.get("phi_probes", 20000))
     phi = tuple(phi_m(l, m_side, d, probes=probes, rng=rng)[0] for l in laws)
     if all(k in merged for k in ("beta", "gamma", "epsilon")):
@@ -474,8 +498,7 @@ def _run_entropy_certificate(cfg, merged, rng):
     return [row], None
 
 
-def _run_condition_check(cfg, merged, rng):
-    law = law_from_spec(merged["law"])
+def _run_condition_check(cfg, merged, law, rng):
     q = int(merged.get("q", 2))
     summary = condition_summary(law, int(merged["d"]), q,
                                 q_bar=merged.get("q_bar"),
@@ -503,6 +526,19 @@ _RUNNERS = {
     "slab-renewal": _run_slab_renewal,
     "entropy-certificate": _run_entropy_certificate,
     "condition-check": _run_condition_check,
+}
+
+# sweep point -> the input its runner takes besides the merged params
+_RESOLVERS = {
+    "wr-sample": _gibbs_from,
+    "phase-sweep": _gibbs_from,
+    "crcm-sample": _crcm_from,
+    "fk-compare": _symmetric_gibbs_from,
+    "domination": _gibbs_from,
+    "slab-renewal": _slab_from,
+    "entropy-certificate": lambda merged: _laws_from(merged["law"],
+                                                     int(merged["q"])),
+    "condition-check": lambda merged: law_from_spec(merged["law"]),
 }
 
 _KIND_COLUMNS = {
@@ -609,7 +645,7 @@ def run_experiment(config):
         base["replica"] = ri
         base["seed"] = seed
         try:
-            rows, state = runner(config, merged, rng)
+            rows, state = runner(config, merged, config.inputs[pi], rng)
         except Exception as exc:  # runtime sampler failure: flag, continue
             row = dict(base)
             row["error"] = f"{type(exc).__name__}: {exc}"

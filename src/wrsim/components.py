@@ -1,18 +1,19 @@
 """Connected components of germ-grain structures and derived observables.
 
-Union-find over the ball overlap graph, finite-window crossing as the
-percolation proxy, probe-based covered fraction, and the per-colour census
-with the monochromatic/polychromatic flag.
+Overlap-graph labelling (dense propagation for a few balls, scipy's csgraph
+for many), finite-window crossing as the percolation proxy, probe-based
+covered fraction, and the per-colour census with the
+monochromatic/polychromatic flag.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .geometry import overlap_pairs
 
 __all__ = [
-    "UnionFind",
     "ComponentLabeling",
     "ColorCensus",
     "connected_components",
@@ -23,34 +24,7 @@ __all__ = [
 ]
 
 _PROBE_JITTER_SEED = 0x5EEDC0DE  # fixed so coverage numbers are reproducible
-
-
-class UnionFind:
-    """Disjoint sets over range(n) with path compression and union by size."""
-
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
+_DENSE_MAX = 64  # largest configuration labelled by dense propagation
 
 
 @dataclass(frozen=True)
@@ -59,7 +33,6 @@ class ComponentLabeling:
 
     labels: np.ndarray
     n_cc: int
-    component_boxes: dict = field(default_factory=dict)
 
     def members(self, label):
         return np.nonzero(self.labels == label)[0]
@@ -73,33 +46,42 @@ class ColorCensus:
     covered: np.ndarray | None = None
 
 
-def connected_components(config, method="auto"):
+def connected_components(config):
     """Label the overlap-graph components of a configuration.
 
     Two balls share a label iff a chain of pairwise-overlapping balls joins
-    them.  Labels are the smallest ball index of each component.
+    them.  Labels are the smallest ball index of each component.  Up to 64
+    balls the labels come from min-label propagation on the dense adjacency
+    matrix, which costs less than building a sparse graph; above, from
+    ``scipy.sparse.csgraph`` on :func:`overlap_pairs`.
     """
     n = len(config)
-    if n == 0:
-        return ComponentLabeling(np.empty(0, dtype=np.int64), 0, {})
-    uf = UnionFind(n)
-    for i, j in overlap_pairs(config, method=method):
-        uf.union(int(i), int(j))
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    # canonical label = smallest index in the component
-    canon = {}
-    for i in range(n):
-        r = int(roots[i])
-        if r not in canon:
-            canon[r] = i
-    labels = np.fromiter((canon[int(r)] for r in roots), dtype=np.int64, count=n)
-    boxes = {}
-    lo_all = config.centers - config.radii[:, None]
-    hi_all = config.centers + config.radii[:, None]
-    for lab in np.unique(labels):
-        mask = labels == lab
-        boxes[int(lab)] = (lo_all[mask].min(axis=0), hi_all[mask].max(axis=0))
-    return ComponentLabeling(labels, uf.count, boxes)
+    if n <= _DENSE_MAX:
+        labels = _dense_labels(config.centers, config.radii)
+    else:
+        pairs = overlap_pairs(config)
+        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                           shape=(n, n))
+        _, ids = csgraph.connected_components(graph, directed=False)
+        _, first = np.unique(ids, return_index=True)
+        labels = first[ids]
+    n_cc = int(np.count_nonzero(labels == np.arange(n)))
+    return ComponentLabeling(labels, n_cc)
+
+
+def _dense_labels(centers, radii):
+    """Smallest member index per ball, by min-label propagation with pointer
+    jumping over the closed-ball adjacency (self-loops included)."""
+    n = len(radii)
+    d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    adj = d2 <= (radii[:, None] + radii[None, :]) ** 2
+    labels = np.arange(n)
+    while True:
+        new = np.where(adj, labels, n).min(axis=1, initial=n)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def crossing_exists(labeling, config, window, axis):

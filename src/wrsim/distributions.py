@@ -32,7 +32,6 @@ __all__ = [
     "TransformedRadius",
     "IntegrabilityReport",
     "CoverageReport",
-    "sample_radius",
     "classify_integrability",
     "check_coverage_condition",
     "q_tilde_transform",
@@ -362,11 +361,6 @@ class CoverageReport:
 
     def __bool__(self):
         return self.converges
-
-
-def sample_radius(law, rng, size=None):
-    """Draw from the law; deterministic given the generator state."""
-    return law.sample(rng, size)
 
 
 def classify_integrability(law, d):

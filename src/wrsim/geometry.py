@@ -1,7 +1,7 @@
 """Spatial primitives for germ-grain models.
 
-Marked balls, axis-aligned windows, overlap predicates and a hash-grid index
-for candidate neighbour queries.
+Marked balls, axis-aligned windows, overlap predicates, overlapping-pair
+search on a k-d tree and text dumps.
 
 Conventions
 -----------
@@ -13,19 +13,17 @@ inequalities; both distinctions sit on Lebesgue-null events.
 All values are immutable after construction and safe to share across threads.
 """
 
-import io
-import math
+import contextlib
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "MarkedPoint",
     "Window",
     "Configuration",
-    "SpatialGrid",
     "balls_overlap",
     "ball_inside_window",
-    "neighbor_candidates",
     "overlap_pairs",
     "dump_configuration",
     "load_configuration",
@@ -183,130 +181,67 @@ def ball_inside_window(p, w):
     )
 
 
-class SpatialGrid:
-    """Uniform hash grid over a configuration for neighbour candidates.
-
-    Balls whose radius exceeds the cell size go to an oversize list that every
-    query scans, which keeps the superset guarantee unconditional even for
-    heavy-tailed radii.  Default cell size is twice the median radius.
-    """
-
-    __slots__ = ("config", "cell_size", "buckets", "oversize")
-
-    def __init__(self, config, cell_size=None):
-        if cell_size is None:
-            cell_size = 2.0 * float(np.median(config.radii)) if len(config) else 1.0
-            if cell_size <= 0.0:
-                cell_size = 1.0
-        if cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-        self.config = config
-        self.cell_size = float(cell_size)
-        self.buckets = {}
-        self.oversize = []
-        inv = 1.0 / self.cell_size
-        for i in range(len(config)):
-            if config.radii[i] > self.cell_size:
-                self.oversize.append(i)
-                continue
-            key = tuple(np.floor(config.centers[i] * inv).astype(np.int64))
-            self.buckets.setdefault(key, []).append(i)
-
-    def candidates(self, p):
-        """Indices of every ball that could overlap ``p`` (superset, never
-        misses a true partner)."""
-        n = len(self.config)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        reach = p.radius + self.cell_size
-        span = int(math.floor(reach / self.cell_size)) + 1
-        cells_to_scan = (2 * span + 1) ** self.config.dimension
-        out = list(self.oversize)
-        if cells_to_scan > 4 * max(1, len(self.buckets)):
-            # huge query ball: scanning the lattice would cost more than
-            # walking the occupied buckets, so return everything
-            return np.arange(n, dtype=np.int64)
-        base = np.floor(p.center / self.cell_size).astype(np.int64)
-        for offset in np.ndindex(*([2 * span + 1] * self.config.dimension)):
-            key = tuple(base + np.asarray(offset) - span)
-            hit = self.buckets.get(key)
-            if hit:
-                out.extend(hit)
-        return np.asarray(sorted(out), dtype=np.int64)
+# radius quantile h splitting balls into k-d tree pairs and direct scans
+_SPLIT_QUANTILE = 0.9
 
 
-def neighbor_candidates(grid, p):
-    """Superset of the indices of balls overlapping ``p``; may contain false
-    positives, never false negatives."""
-    return grid.candidates(p)
+def overlap_pairs(config):
+    """All unordered index pairs (i, j), i < j, of overlapping balls, in
+    lexicographic order.
 
-
-def overlap_pairs(config, method="auto"):
-    """All unordered index pairs (i, j), i < j, of overlapping balls.
-
-    method: "brute" (dense distance matrix), "grid" (hash-grid accelerated)
-    or "auto" (brute below 1500 balls).
+    Balls of radius at most ``h``, the 90th-percentile radius, are paired by
+    one k-d tree query at distance ``2h``, inflated so that exact tangency
+    survives rounding; each larger ball is compared with every ball.  That
+    candidate set contains every overlapping pair whatever the radius tail,
+    and one exact closed-ball test ``d^2 <= (r_i + r_j)^2`` keeps the true
+    ones.
     """
     n = len(config)
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
-    if method == "auto":
-        method = "brute" if n <= 1500 else "grid"
-    if method == "brute":
-        diff = config.centers[:, None, :] - config.centers[None, :, :]
-        d2 = (diff ** 2).sum(axis=-1)
-        rsum = config.radii[:, None] + config.radii[None, :]
-        hit = d2 <= rsum ** 2
-        iu = np.triu_indices(n, k=1)
-        mask = hit[iu]
-        return np.stack([iu[0][mask], iu[1][mask]], axis=1)
-    if method == "grid":
-        grid = SpatialGrid(config)
-        pairs = []
-        for i in range(n):
-            cand = grid.candidates(config.ball(i))
-            cand = cand[cand > i]
-            if cand.size == 0:
-                continue
-            diff = config.centers[cand] - config.centers[i]
-            d2 = (diff ** 2).sum(axis=1)
-            rsum = config.radii[cand] + config.radii[i]
-            for j in cand[d2 <= rsum ** 2]:
-                pairs.append((i, int(j)))
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(pairs, dtype=np.int64)
-    raise ValueError(f"unknown method {method!r}")
+    centers, radii = config.centers, config.radii
+    h = float(np.quantile(radii, _SPLIT_QUANTILE))
+    small = np.flatnonzero(radii <= h)
+    found = cKDTree(centers[small]).query_pairs(
+        2.0 * h * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
+    keys = [small[found[:, 0]] * n + small[found[:, 1]]]
+    for b in np.flatnonzero(radii > h):
+        near = np.flatnonzero(((centers - centers[b]) ** 2).sum(axis=1)
+                              <= (radii + radii[b]) ** 2)
+        near = near[near != b]
+        keys.append(np.minimum(near, b) * n + np.maximum(near, b))
+    keys = np.unique(np.concatenate(keys))
+    i, j = keys // n, keys % n
+    keep = (((centers[i] - centers[j]) ** 2).sum(axis=1)
+            <= (radii[i] + radii[j]) ** 2)
+    return np.stack([i[keep], j[keep]], axis=1)
+
+
+@contextlib.contextmanager
+def _opened(target, mode):
+    """``target`` itself when it is a stream, else the file it names, opened
+    in ``mode`` and closed on exit."""
+    if isinstance(target, (str, bytes)):
+        with open(target, mode) as fh:
+            yield fh
+    else:
+        yield target
 
 
 def dump_configuration(config, dest):
     """Write one ball per line as ``x_1 ... x_d r`` in full precision."""
-    close = False
-    if isinstance(dest, (str, bytes)):
-        dest = open(dest, "w")
-        close = True
-    try:
+    with _opened(dest, "w") as fh:
         for i in range(len(config)):
             cols = [FLOAT_FORMAT % v for v in config.centers[i]]
             cols.append(FLOAT_FORMAT % config.radii[i])
-            dest.write(" ".join(cols) + "\n")
-    finally:
-        if close:
-            dest.close()
+            fh.write(" ".join(cols) + "\n")
 
 
 def load_configuration(src, d=None):
     """Inverse of :func:`dump_configuration`; ``d`` required only when the
     file may be empty."""
-    close = False
-    if isinstance(src, (str, bytes)):
-        src = open(src, "r")
-        close = True
-    try:
-        rows = [line.split() for line in src if line.strip()]
-    finally:
-        if close:
-            src.close()
+    with _opened(src, "r") as fh:
+        rows = [line.split() for line in fh if line.strip()]
     if not rows:
         if d is None:
             raise ValueError("dimension required to load an empty dump")

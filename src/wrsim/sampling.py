@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, Window
+from .geometry import FLOAT_FORMAT, Configuration, Window, _opened
 from .components import connected_components
 
 __all__ = [
@@ -728,33 +728,18 @@ def effective_sample_size(series):
 def dump_multitype_configuration(mc, dest):
     """Text dump, one ball per line: 1-based colour index then the geometry
     columns."""
-    from .geometry import FLOAT_FORMAT
-    close = False
-    if isinstance(dest, (str, bytes)):
-        dest = open(dest, "w")
-        close = True
-    try:
+    with _opened(dest, "w") as fh:
         for color, cfg in enumerate(mc.configs, start=1):
             for i in range(len(cfg)):
                 cols = [str(color)]
                 cols += [FLOAT_FORMAT % v for v in cfg.centers[i]]
                 cols.append(FLOAT_FORMAT % cfg.radii[i])
-                dest.write(" ".join(cols) + "\n")
-    finally:
-        if close:
-            dest.close()
+                fh.write(" ".join(cols) + "\n")
 
 
 def load_multitype_configuration(src, q, d):
-    close = False
-    if isinstance(src, (str, bytes)):
-        src = open(src, "r")
-        close = True
-    try:
-        rows = [line.split() for line in src if line.strip()]
-    finally:
-        if close:
-            src.close()
+    with _opened(src, "r") as fh:
+        rows = [line.split() for line in fh if line.strip()]
     per_color = {c: ([], []) for c in range(1, q + 1)}
     for row in rows:
         color = int(row[0])
@@ -773,13 +758,6 @@ def load_multitype_configuration(src, q, d):
 def write_run_metadata(dest, record):
     """Key-value text record (one ``key=value`` per line) accompanying a
     sample dump."""
-    close = False
-    if isinstance(dest, (str, bytes)):
-        dest = open(dest, "w")
-        close = True
-    try:
+    with _opened(dest, "w") as fh:
         for key in record:
-            dest.write(f"{key}={record[key]}\n")
-    finally:
-        if close:
-            dest.close()
+            fh.write(f"{key}={record[key]}\n")

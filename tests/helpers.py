@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from wrsim.geometry import balls_overlap
+
 
 def bfs_ncc_oracle(config):
     """Component count and labels via BFS over the dense overlap graph."""
@@ -34,6 +36,14 @@ def bfs_ncc_oracle(config):
                     stack.append(int(j))
         count += 1
     return count, labels
+
+
+def all_pairs_oracle(config):
+    """Set of index pairs (i, j), i < j, whose closed balls overlap, from
+    :func:`wrsim.geometry.balls_overlap` on every pair."""
+    n = len(config)
+    return {(i, j) for i in range(n) for j in range(i + 1, n)
+            if balls_overlap(config.ball(i), config.ball(j))}
 
 
 def interval_bfs_oracle(starts, lengths):

@@ -66,6 +66,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    def test_bad_law_in_one_sweep_point(self):
+        raw = base_config(sweep=[{"name": "law", "values": [
+            {"kind": "dirac", "radius": 0.5}, {"kind": "foo"}]}])
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert err.value.problems == [
+            "sweep point 1 {'law': {'kind': 'foo'}}: unknown law kind 'foo'"]
+
+    def test_fk_compare_needs_symmetric_params(self):
+        raw = base_config(experiment="fk-compare")
+        raw["params"]["z"] = [0.5, 1.0]
+        with pytest.raises(ConfigError, match="symmetric activities"):
+            ExperimentConfig.from_dict(raw)
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(base_config(experiment="nope"))
@@ -336,6 +350,18 @@ class TestMain:
         path = self.write_config(tmp_path, base_config(bogus=1))
         assert main(["--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("law", {"kind": "foo"}, "unknown law kind 'foo'"),
+        ("boundary", {"kind": "wall"}, "unknown boundary kind 'wall'"),
+    ])
+    def test_exit_two_on_bad_law_or_boundary(self, tmp_path, capsys, key,
+                                             value, message):
+        raw = base_config(out=str(tmp_path / "bad"))
+        raw["params"][key] = value
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
 
     def test_exit_two_without_out(self, tmp_path):
         path = self.write_config(tmp_path, base_config())

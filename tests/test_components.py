@@ -56,13 +56,6 @@ class TestConnectedComponents:
         for a in np.unique(lab.labels):
             assert lab.members(a).min() == a
 
-    def test_component_boxes(self):
-        cfg = Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.5]))
-        lab = connected_components(cfg)
-        lo, hi = lab.component_boxes[0]
-        assert np.allclose(lo, [-1.0, -1.0])
-        assert np.allclose(hi, [1.5, 1.0])
-
     def test_subadditive_under_spatial_split(self):
         # splitting the balls by centre half-space never lowers the total
         # component count

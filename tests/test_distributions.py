@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from helpers import (ks_distance_to_cdf, moment_quadrature_oracle,
                      coverage_quadrature_oracle)
-from wrsim.distributions import (sample_radius, DiracRadius, UniformRadius, ExponentialRadius,
+from wrsim.distributions import (DiracRadius, UniformRadius, ExponentialRadius,
                                  ParetoRadius, AtomMixtureRadius,
                                  classify_integrability,
                                  check_coverage_condition, q_tilde_transform,
@@ -29,7 +29,6 @@ class TestSampling:
         law = DiracRadius(2.5)
         assert law.sample(rng) == 2.5
         assert np.all(law.sample(rng, 100) == 2.5)
-        assert sample_radius(law, rng) == 2.5
 
     def test_uniform_mean(self):
         rng = np.random.default_rng(1)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from wrsim.geometry import (MarkedPoint, Window, Configuration, SpatialGrid,
-                            balls_overlap, ball_inside_window,
-                            neighbor_candidates, overlap_pairs,
+from helpers import all_pairs_oracle
+from wrsim.geometry import (MarkedPoint, Window, Configuration, balls_overlap,
+                            ball_inside_window, overlap_pairs,
                             dump_configuration, load_configuration)
 
 
@@ -43,6 +43,25 @@ class TestBallsOverlap:
             assert balls_overlap(a, b) == balls_overlap(b, a)
             if a.radius > 0:
                 assert balls_overlap(a, a)
+
+    def test_inside_window_separation(self):
+        # a ball inside the window cannot meet a ball centred farther than
+        # 2 r_max outside it, for any r_max bounding both radii
+        rng = np.random.default_rng(5)
+        w = Window([0, 0], [4, 4])
+        for _ in range(100):
+            r_max = rng.random() * 2.0 + 0.1
+            inside = MarkedPoint(
+                w.lower + r_max + rng.random(2) * (w.sides - 2 * r_max),
+                rng.random() * r_max)
+            if not ball_inside_window(inside, w):
+                continue
+            direction = rng.random(2) - 0.5
+            direction /= np.linalg.norm(direction)
+            far_center = np.array([4.0, 4.0]) + direction * (2.0 * r_max + 1e-9)
+            far = MarkedPoint(np.abs(far_center), rng.random() * r_max)
+            if w.distance_to(far.center[None, :])[0] > 2 * r_max:
+                assert not balls_overlap(inside, far)
 
 
 class TestBallInsideWindow:
@@ -82,56 +101,22 @@ class TestWindow:
         assert d[2] == pytest.approx(math.sqrt(2.0))
 
 
-class TestSpatialGrid:
-    def test_empty_grid(self):
-        grid = SpatialGrid(Configuration.empty(2))
-        assert len(neighbor_candidates(grid, MarkedPoint([0, 0], 1.0))) == 0
+class TestOverlapPairs:
+    def test_fewer_than_two_balls(self):
+        assert overlap_pairs(Configuration.empty(2)).shape == (0, 2)
+        one = Configuration(np.array([[0.0, 0.0]]), np.array([1.0]))
+        assert overlap_pairs(one).shape == (0, 2)
 
-    def test_single_overlapping_ball(self):
-        cfg = Configuration(np.array([[0.0, 0.0]]), np.array([1.0]))
-        grid = SpatialGrid(cfg)
-        cand = neighbor_candidates(grid, MarkedPoint([0.5, 0.0], 0.1))
-        assert 0 in cand
-
-    def test_candidates_are_superset(self):
-        rng = np.random.default_rng(3)
-        for heavy in (False, True):
-            cfg = random_configuration(rng, 100, 2, heavy=heavy)
-            grid = SpatialGrid(cfg)
-            for _ in range(25):
-                p = MarkedPoint(rng.random(2) * 10.0, rng.random() * 2.0)
-                cand = set(neighbor_candidates(grid, p).tolist())
-                for j in range(len(cfg)):
-                    if balls_overlap(p, cfg.ball(j)):
-                        assert j in cand
-
+    @pytest.mark.parametrize("heavy", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_grid_pairs_equal_brute_force(self, d):
-        rng = np.random.default_rng(10 + d)
-        for trial in range(10):
-            cfg = random_configuration(rng, 120, d, heavy=trial % 2 == 0)
-            brute = set(map(tuple, overlap_pairs(cfg, method="brute").tolist()))
-            grid = set(map(tuple, overlap_pairs(cfg, method="grid").tolist()))
-            assert brute == grid
-
-    def test_inside_window_separation(self):
-        # a ball inside the window cannot meet a ball centred farther than
-        # 2 r_max outside it, for any r_max bounding both radii
-        rng = np.random.default_rng(5)
-        w = Window([0, 0], [4, 4])
-        for _ in range(100):
-            r_max = rng.random() * 2.0 + 0.1
-            inside = MarkedPoint(
-                w.lower + r_max + rng.random(2) * (w.sides - 2 * r_max),
-                rng.random() * r_max)
-            if not ball_inside_window(inside, w):
-                continue
-            direction = rng.random(2) - 0.5
-            direction /= np.linalg.norm(direction)
-            far_center = np.array([4.0, 4.0]) + direction * (2.0 * r_max + 1e-9)
-            far = MarkedPoint(np.abs(far_center), rng.random() * r_max)
-            if w.distance_to(far.center[None, :])[0] > 2 * r_max:
-                assert not balls_overlap(inside, far)
+    def test_equals_all_pairs_oracle(self, d, heavy):
+        rng = np.random.default_rng(10 + d + 3 * heavy)
+        for n in (2, 17, 64, 65, 150):
+            cfg = random_configuration(rng, n, d, heavy=heavy)
+            pairs = overlap_pairs(cfg)
+            assert set(map(tuple, pairs.tolist())) == all_pairs_oracle(cfg)
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert np.array_equal(pairs[np.lexsort(pairs.T[::-1])], pairs)
 
 
 class TestDump:
