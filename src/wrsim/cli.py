@@ -9,7 +9,6 @@ A run is described by a JSON file::
       "sweeps": 200,
       "out": "runs/demo",
       "format": "csv",
-      "threads": 1,
       "params": {
         "q": 2, "z": 0.5,
         "law": {"kind": "dirac", "radius": 0.5},
@@ -53,7 +52,6 @@ output byte except the tool-version metadata field.  Exit codes: 0 success,
 """
 
 import argparse
-import concurrent.futures
 import csv
 import itertools
 import json
@@ -140,7 +138,7 @@ class ExperimentConfig:
     """Validated experiment description."""
 
     def __init__(self, kind, params, sweep, replicas, sweeps, seed, out,
-                 fmt, threads, dump_samples=False):
+                 fmt, dump_samples=False):
         self.kind = kind
         self.params = params
         self.sweep = sweep
@@ -149,7 +147,6 @@ class ExperimentConfig:
         self.seed = seed
         self.out = out
         self.fmt = fmt
-        self.threads = threads
         self.dump_samples = dump_samples
         self.inputs = self._resolve_points()
 
@@ -196,7 +193,8 @@ class ExperimentConfig:
         fmt = overrides.get("format", raw.get("format", "csv"))
         if fmt not in ("csv", "jsonl"):
             problems.append(f"format: must be csv or jsonl, got {fmt!r}")
-        threads = overrides.get("threads", raw.get("threads", 1))
+        # accepted for stored configs and ignored: tasks run serially
+        threads = raw.get("threads", 1)
         if not isinstance(threads, int) or threads < 1:
             problems.append("threads: must be an integer >= 1")
         out = overrides.get("out", raw.get("out"))
@@ -249,7 +247,7 @@ class ExperimentConfig:
             raise ConfigError(problems)
         return cls(kind=kind, params=params, sweep=sweep, replicas=replicas,
                    sweeps=sweeps, seed=seed, out=out, fmt=fmt,
-                   threads=threads, dump_samples=dump_samples)
+                   dump_samples=dump_samples)
 
     @classmethod
     def from_file(cls, path, overrides=None):
@@ -264,8 +262,7 @@ class ExperimentConfig:
         return {
             "experiment": self.kind, "seed": self.seed,
             "replicas": self.replicas, "sweeps": self.sweeps,
-            "format": self.fmt, "threads": self.threads,
-            "params": self.params,
+            "format": self.fmt, "params": self.params,
             "sweep": [{"name": n, "values": v} for n, v in self.sweep],
             "dump_samples": self.dump_samples,
         }
@@ -329,17 +326,54 @@ def _symmetric_gibbs_from(merged):
     return params
 
 
+def _probes_from(merged):
+    return int(merged.get("probes", 1024))
+
+
+def _optional_float(merged, key):
+    value = merged.get(key)
+    return None if value is None else float(value)
+
+
+def _domination_from(merged):
+    params = _gibbs_from(merged)
+    threshold = _optional_float(merged, "threshold")
+    if threshold is None:
+        threshold = round(params.expected_count)
+    return params, threshold
+
+
 def _crcm_from(merged):
     return (_window_from(merged["window"]), float(merged["z"]),
-            law_from_spec(merged["law"]), float(merged["q"]))
+            law_from_spec(merged["law"]), float(merged["q"]),
+            _probes_from(merged))
 
 
 def _slab_from(merged):
-    return SlabParams(n=float(merged["n"]), k=float(merged["k"]),
-                      d=int(merged["d"]), z=float(merged["z"]),
-                      law=law_from_spec(merged["law"]),
-                      q=float(merged.get("q", 2.0)),
-                      q_bar=float(merged.get("q_bar", 2.5)))
+    params = SlabParams(n=float(merged["n"]), k=float(merged["k"]),
+                        d=int(merged["d"]), z=float(merged["z"]),
+                        law=law_from_spec(merged["law"]),
+                        q=float(merged.get("q", 2.0)),
+                        q_bar=float(merged.get("q_bar", 2.5)))
+    return params, _point_cell(merged["law"])
+
+
+def _entropy_from(merged):
+    q = int(merged["q"])
+    alpha = tuple(float(a) for a in merged["alpha"])
+    laws = _laws_from(merged["law"], q)
+    if len(alpha) != q or len(laws) != q:
+        raise ValueError(f"alpha and law must have q = {q} entries")
+    margins = {key: float(merged[key]) for key in ("beta", "gamma", "epsilon")
+               if key in merged}
+    return (laws, alpha, float(merged["m_side"]), int(merged["d"]),
+            int(merged.get("phi_probes", 20000)), margins)
+
+
+def _condition_from(merged):
+    return (law_from_spec(merged["law"]), int(merged["d"]),
+            int(merged.get("q", 2)), _optional_float(merged, "q_bar"),
+            _optional_float(merged, "k"))
 
 
 def _point_cell(value):
@@ -351,7 +385,9 @@ def _point_cell(value):
 
 # ---------------------------------------------------------------- runners
 
-def _wr_chain_rows(cfg, merged, params, rng, with_geometry):
+def _wr_chain_rows(cfg, params, rng, probes=None):
+    """One WR chain's row; geometry columns only when ``probes`` is given."""
+    with_geometry = probes is not None
     chain = WidomRowlinsonChain(params, rng)
     burn = cfg.sweeps // 2
     totals = []
@@ -372,8 +408,8 @@ def _wr_chain_rows(cfg, merged, params, rng, with_geometry):
         row["n_cc"] = labeling.n_cc
         row["crossing"] = int(crossing_exists(labeling, merged_cfg,
                                               params.window, axis=0))
-        row["covered_fraction"] = covered_fraction(
-            merged_cfg, params.window, int(merged.get("probes", 1024)))
+        row["covered_fraction"] = covered_fraction(merged_cfg, params.window,
+                                                   probes)
     row["dominant_fraction"] = dominant
     row["monochromatic"] = int(mono)
     row["acceptance_rate"] = chain.acceptance_rate
@@ -382,20 +418,19 @@ def _wr_chain_rows(cfg, merged, params, rng, with_geometry):
     return row, state, chain
 
 
-def _run_wr_sample(cfg, merged, params, rng):
-    row, state, chain = _wr_chain_rows(cfg, merged, params, rng,
-                                       with_geometry=True)
+def _run_wr_sample(cfg, inputs, rng):
+    params, probes = inputs
+    row, state, chain = _wr_chain_rows(cfg, params, rng, probes)
     return [row], state
 
 
-def _run_phase_sweep(cfg, merged, params, rng):
-    row, state, chain = _wr_chain_rows(cfg, merged, params, rng,
-                                       with_geometry=False)
+def _run_phase_sweep(cfg, params, rng):
+    row, state, chain = _wr_chain_rows(cfg, params, rng)
     return [row], state
 
 
-def _run_crcm_sample(cfg, merged, inputs, rng):
-    window, z, law, q = inputs
+def _run_crcm_sample(cfg, inputs, rng):
+    window, z, law, q, probes = inputs
     chain = RandomClusterChain(window, z, law, q, rng)
     burn = cfg.sweeps // 2
     counts = []
@@ -409,15 +444,14 @@ def _run_crcm_sample(cfg, merged, inputs, rng):
         "count": len(state),
         "n_cc": labeling.n_cc,
         "crossing": int(crossing_exists(labeling, state, window, axis=0)),
-        "covered_fraction": covered_fraction(state, window,
-                                             int(merged.get("probes", 1024))),
+        "covered_fraction": covered_fraction(state, window, probes),
         "acceptance_rate": chain.acceptance_rate,
         "ess_count": effective_sample_size(counts),
     }
     return [row], None
 
 
-def _run_fk_compare(cfg, merged, params, rng):
+def _run_fk_compare(cfg, params, rng):
     q = params.q
     cluster = RandomClusterChain(params.window, params.z[0], params.laws[0],
                                  q, rng)
@@ -439,10 +473,8 @@ def _run_fk_compare(cfg, merged, params, rng):
     return rows, None
 
 
-def _run_domination(cfg, merged, params, rng):
-    threshold = merged.get("threshold")
-    if threshold is None:
-        threshold = round(params.expected_count)
+def _run_domination(cfg, inputs, rng):
+    params, threshold = inputs
     chain = WidomRowlinsonChain(params, rng)
     chain.run(cfg.sweeps)
     wr_total = chain.total_count
@@ -457,13 +489,14 @@ def _run_domination(cfg, merged, params, rng):
     return [row], None
 
 
-def _run_slab_renewal(cfg, merged, params, rng):
+def _run_slab_renewal(cfg, inputs, rng):
+    params, law_cell = inputs
     config = sample_slab(params, rng)
     row = {
         "n": params.n,
         "k": params.k,
         "z": params.z,
-        "law": _point_cell(merged["law"]),
+        "law": law_cell,
         "count": len(config),
         "n_cc_right": n_cc_right(config, params),
         "right_edge_reached": int(reaches_right_edge(config, params)),
@@ -473,18 +506,13 @@ def _run_slab_renewal(cfg, merged, params, rng):
     return [row], None
 
 
-def _run_entropy_certificate(cfg, merged, laws, rng):
-    q = int(merged["q"])
-    alpha = tuple(float(a) for a in merged["alpha"])
-    m_side = float(merged["m_side"])
-    d = int(merged["d"])
-    probes = int(merged.get("phi_probes", 20000))
+def _run_entropy_certificate(cfg, inputs, rng):
+    laws, alpha, m_side, d, probes, margins = inputs
+    q = len(alpha)
     phi = tuple(phi_m(l, m_side, d, probes=probes, rng=rng)[0] for l in laws)
-    if all(k in merged for k in ("beta", "gamma", "epsilon")):
-        inputs = EntropyBoundInputs(
-            z=0.0, alpha=alpha, beta=float(merged["beta"]),
-            gamma=float(merged["gamma"]), epsilon=float(merged["epsilon"]),
-            m_side=m_side, d=d, phi=phi, q=q)
+    if len(margins) == 3:
+        inputs = EntropyBoundInputs(z=0.0, alpha=alpha, m_side=m_side, d=d,
+                                    phi=phi, q=q, **margins)
     else:
         inputs = EntropyBoundInputs.with_default_margins(
             0.0, alpha, m_side, d, phi)
@@ -498,11 +526,9 @@ def _run_entropy_certificate(cfg, merged, laws, rng):
     return [row], None
 
 
-def _run_condition_check(cfg, merged, law, rng):
-    q = int(merged.get("q", 2))
-    summary = condition_summary(law, int(merged["d"]), q,
-                                q_bar=merged.get("q_bar"),
-                                k=merged.get("k"))
+def _run_condition_check(cfg, inputs, rng):
+    law, d, q, q_bar, k = inputs
+    summary = condition_summary(law, d, q, q_bar=q_bar, k=k)
     row = {
         "integrable": int(summary["integrable"]),
         "moment": float(summary["moment"]),
@@ -528,17 +554,16 @@ _RUNNERS = {
     "condition-check": _run_condition_check,
 }
 
-# sweep point -> the input its runner takes besides the merged params
+# merged sweep-point params -> the converted inputs its runner reads
 _RESOLVERS = {
-    "wr-sample": _gibbs_from,
+    "wr-sample": lambda merged: (_gibbs_from(merged), _probes_from(merged)),
     "phase-sweep": _gibbs_from,
     "crcm-sample": _crcm_from,
     "fk-compare": _symmetric_gibbs_from,
-    "domination": _gibbs_from,
+    "domination": _domination_from,
     "slab-renewal": _slab_from,
-    "entropy-certificate": lambda merged: _laws_from(merged["law"],
-                                                     int(merged["q"])),
-    "condition-check": lambda merged: law_from_spec(merged["law"]),
+    "entropy-certificate": _entropy_from,
+    "condition-check": _condition_from,
 }
 
 _KIND_COLUMNS = {
@@ -577,113 +602,75 @@ def experiment_schema(config):
     return axes + ["replica", "seed"] + kind_cols + ["error"]
 
 
-def _summarize(config, records):
-    """Per-point aggregates for the kinds that define them."""
-    points = sweep_plan(config)
-    axes = [name for name, _ in config.sweep]
-    out = []
-    for pi, point in enumerate(points):
-        keyed = {name: _point_cell(point[name]) for name in axes}
-        rows = [r for r in records
-                if all(r.get(name) == keyed[name] for name in axes)
-                and not r.get("error")]
-        entry = dict(keyed)
-        if config.kind == "domination" and rows:
-            report = domination_test(
-                {"total_count": [r["wr_total"] for r in rows],
-                 "threshold_exceedance": [r["wr_exceed"] for r in rows]},
-                {"total_count": [r["poisson_total"] for r in rows],
-                 "threshold_exceedance": [r["poisson_exceed"] for r in rows]},
-                min_samples=1)
-            entry["observables"] = [
-                {"observable": row.observable, "z_score": row.z_score,
-                 "sample_mean": row.sample_mean,
-                 "reference_mean": row.reference_mean, "passed": row.passed}
-                for row in report.rows]
-            entry["passed"] = report.passed
-        elif config.kind == "slab-renewal" and rows:
-            ncc = np.array([r["n_cc_right"] for r in rows])
-            nonempty = ncc[ncc > 0]
-            if len(nonempty):
-                p_hat = float((nonempty == 1).mean())
-                entry["p_hat"] = p_hat
-                entry["p_stderr"] = math.sqrt(
-                    max(p_hat * (1 - p_hat), 0.0) / len(nonempty))
-                entry["inverse_mean_ncc"] = float(1.0 / nonempty.mean())
-                entry["n_nonempty"] = int(len(nonempty))
-        elif config.kind == "fk-compare" and rows:
-            for pipeline in ("fk", "wr"):
-                sel = [r for r in rows if r["pipeline"] == pipeline]
-                if sel:
-                    entry[f"{pipeline}_mean_total"] = float(
-                        np.mean([r["total_count"] for r in sel]))
-                    entry[f"{pipeline}_poly_rate"] = float(
-                        np.mean([r["polychromatic"] for r in sel]))
-        out.append(entry)
-    return {"points": out}
+def _summarize(config, point, rows):
+    """Aggregates of one sweep point's rows, for the kinds that define them."""
+    entry = {name: _point_cell(point[name]) for name, _ in config.sweep}
+    rows = [r for r in rows if not r["error"]]
+    if config.kind == "domination" and rows:
+        report = domination_test(
+            {"total_count": [r["wr_total"] for r in rows],
+             "threshold_exceedance": [r["wr_exceed"] for r in rows]},
+            {"total_count": [r["poisson_total"] for r in rows],
+             "threshold_exceedance": [r["poisson_exceed"] for r in rows]},
+            min_samples=1)
+        entry["observables"] = [
+            {"observable": row.observable, "z_score": row.z_score,
+             "sample_mean": row.sample_mean,
+             "reference_mean": row.reference_mean, "passed": row.passed}
+            for row in report.rows]
+        entry["passed"] = report.passed
+    elif config.kind == "slab-renewal" and rows:
+        ncc = np.array([r["n_cc_right"] for r in rows])
+        nonempty = ncc[ncc > 0]
+        if len(nonempty):
+            p_hat = float((nonempty == 1).mean())
+            entry["p_hat"] = p_hat
+            entry["p_stderr"] = math.sqrt(
+                max(p_hat * (1 - p_hat), 0.0) / len(nonempty))
+            entry["inverse_mean_ncc"] = float(1.0 / nonempty.mean())
+            entry["n_nonempty"] = int(len(nonempty))
+    elif config.kind == "fk-compare" and rows:
+        for pipeline in ("fk", "wr"):
+            sel = [r for r in rows if r["pipeline"] == pipeline]
+            if sel:
+                entry[f"{pipeline}_mean_total"] = float(
+                    np.mean([r["total_count"] for r in sel]))
+                entry[f"{pipeline}_poly_rate"] = float(
+                    np.mean([r["polychromatic"] for r in sel]))
+    return entry
 
 
 def run_experiment(config):
-    """Execute every (sweep point, replica) task.
+    """Execute every (sweep point, replica) task in one serial loop.
 
     Returns (records, summary, final states for dumping).  Replica seed =
-    mix(master seed, point index, replica index); rows are
-    ordered by (point index, replica index) regardless of how the thread
-    pool schedules the work.  A failing task yields a row with its ``error``
-    field set; the run continues.
+    mix(master seed, point index, replica index); rows are ordered by
+    (point index, replica index), and each point is summarised from its own
+    rows.  A failing task yields a row with its ``error`` field set; the run
+    continues.
     """
-    points = sweep_plan(config)
-    axes = [name for name, _ in config.sweep]
     schema = experiment_schema(config)
     runner = _RUNNERS[config.kind]
-
-    def task(pi, ri):
-        seed = derive_seed(config.seed, pi, ri)
-        rng = np.random.default_rng(seed)
-        merged = {**config.params, **points[pi]}
-        base = {name: _point_cell(points[pi][name]) for name in axes}
-        base["replica"] = ri
-        base["seed"] = seed
-        try:
-            rows, state = runner(config, merged, config.inputs[pi], rng)
-        except Exception as exc:  # runtime sampler failure: flag, continue
-            row = dict(base)
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            return [_complete_row(row, schema)], None
-        out = []
-        for row in rows:
-            full = dict(base)
-            full.update(row)
-            full["error"] = ""
-            out.append(_complete_row(full, schema))
-        return out, state
-
-    tasks = [(pi, ri) for pi in range(len(points))
-             for ri in range(config.replicas)]
-    results = {}
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(config.threads) as pool:
-            futures = {pool.submit(task, pi, ri): (pi, ri)
-                       for pi, ri in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for pi, ri in tasks:
-            results[(pi, ri)] = task(pi, ri)
-
-    records = []
-    states = {}
-    for pi, ri in tasks:
-        rows, state = results[(pi, ri)]
-        records.extend(rows)
-        if state is not None:
-            states[(pi, ri)] = (state, rows[0])
-    summary = _summarize(config, records)
-    return records, summary, states
-
-
-def _complete_row(row, schema):
-    return {key: row.get(key) for key in schema}
+    records, summary, states = [], [], {}
+    for pi, point in enumerate(sweep_plan(config)):
+        base = {name: _point_cell(point[name]) for name, _ in config.sweep}
+        point_rows = []
+        for ri in range(config.replicas):
+            seed = derive_seed(config.seed, pi, ri)
+            try:
+                rows, state = runner(config, config.inputs[pi],
+                                     np.random.default_rng(seed))
+            except Exception as exc:  # runtime sampler failure: flag, continue
+                rows, state = [{"error": f"{type(exc).__name__}: {exc}"}], None
+            rows = [{**base, "replica": ri, "seed": seed, "error": "", **row}
+                    for row in rows]
+            rows = [{key: row.get(key) for key in schema} for row in rows]
+            point_rows.extend(rows)
+            if state is not None:
+                states[(pi, ri)] = (state, rows[0])
+        records.extend(point_rows)
+        summary.append(_summarize(config, point, point_rows))
+    return records, {"points": summary}, states
 
 
 # ---------------------------------------------------------------- emission
@@ -790,11 +777,10 @@ def main(argv=None):
     parser.add_argument("--out", help="output stem (overrides config)")
     parser.add_argument("--format", choices=("csv", "jsonl"),
                         help="override output format")
-    parser.add_argument("--threads", type=int, help="worker pool size")
     args = parser.parse_args(argv)
 
     overrides = {}
-    for key in ("seed", "replicas", "out", "format", "threads"):
+    for key in ("seed", "replicas", "out", "format"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value

@@ -146,14 +146,21 @@ class TestRunAndEmit:
             paths.append(stem + ".csv")
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        raw = base_config(sweep=[{"name": "z", "values": [0.25, 0.5]}])
+    def test_threads_key_is_ignored(self, tmp_path):
+        # stored configs may carry "threads"; it selects nothing
         outputs = []
-        for threads in (1, 3):
-            cfg = ExperimentConfig.from_dict(raw, overrides={"threads": threads})
-            records, _, _ = run_experiment(cfg)
-            outputs.append(records)
+        for tag, extra in (("with", {"threads": 2}), ("without", {})):
+            raw = base_config(out=str(tmp_path / tag), **extra,
+                              sweep=[{"name": "z", "values": [0.25, 0.5]}])
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps(raw))
+            assert main(["--config", str(path)]) == 0
+            outputs.append((tmp_path / f"{tag}.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ConfigError, match="threads"):
+            ExperimentConfig.from_dict(base_config(threads=0))
 
     def test_round_trip_csv(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config())
@@ -285,6 +292,19 @@ class TestAllKindsRun:
         assert {r["z"] for r in records} == {1.0, 2.0}
         assert len(summary["points"]) == 2
 
+    def test_duplicate_sweep_values_summarised_apart(self):
+        # 4 and 4.0 are equal cells; each point still summarises only its
+        # own replicas
+        replicas = 40
+        _, summary = self.run_kind({
+            "experiment": "slab-renewal", "seed": 5, "replicas": replicas,
+            "params": {"n": 20, "k": 0.5, "d": 2, "z": 4,
+                       "law": {"kind": "pareto", "alpha": 0.7, "xmin": 0.3}},
+            "sweep": [{"name": "z", "values": [4, 4.0]}]})
+        assert len(summary["points"]) == 2
+        for point in summary["points"]:
+            assert 0 < point["n_nonempty"] <= replicas
+
     def test_entropy_certificate(self):
         # the tile fit probability must exceed alpha_max / beta for the
         # certificate to exist, hence the small radius against m_side = 4
@@ -361,6 +381,28 @@ class TestMain:
         raw["params"][key] = value
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("kind, params", [
+        ("entropy-certificate", {"m_side": "x"}),
+        ("entropy-certificate", {"alpha": [0.5, 0.25, 0.25]}),
+        ("entropy-certificate", {"beta": "x"}),
+        ("condition-check", {"d": "x"}),
+        ("wr-sample", {"probes": "x"}),
+        ("crcm-sample", {"probes": "x"}),
+        ("domination", {"threshold": "x"}),
+    ])
+    def test_exit_two_on_bad_numeric_param(self, tmp_path, kind, params):
+        good = {
+            "entropy-certificate": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0,
+                                    "d": 2, "phi_probes": 100},
+            "condition-check": {"d": 2},
+        }.get(kind, base_config()["params"])
+        raw = {"experiment": kind, "seed": 5, "sweeps": 5,
+               "out": str(tmp_path / "bad"),
+               "params": {"law": {"kind": "dirac", "radius": 0.2},
+                          **good, **params}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert not os.path.exists(tmp_path / "bad.csv")
 
     def test_exit_two_without_out(self, tmp_path):
