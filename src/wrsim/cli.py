@@ -38,7 +38,8 @@ parameter columns, then ``replica`` and ``seed``, and end with ``error``):
 * condition-check      integrable, moment, coverage_condition,
                        coverage_method, coverage_inconclusive,
                        coverage_conjectured, atom, atom_strict,
-                       atom_conjectured
+                       atom_conjectured, tilde_atom, tilde_atom_strict
+                       (the last two empty unless q_bar and k are given)
 
 Law records use the field names of :func:`wrsim.distributions.law_from_spec`,
 e.g. ``{"kind": "pareto", "alpha": 1.5, "xmin": 1.0}``.  Unknown keys
@@ -366,6 +367,9 @@ def _entropy_from(merged):
         raise ValueError(f"alpha and law must have q = {q} entries")
     margins = {key: float(merged[key]) for key in ("beta", "gamma", "epsilon")
                if key in merged}
+    if len(margins) not in (0, 3):
+        raise ValueError("beta, gamma and epsilon must be given together or "
+                         "not at all")
     return (laws, alpha, float(merged["m_side"]), int(merged["d"]),
             int(merged.get("phi_probes", 20000)), margins)
 
@@ -510,7 +514,7 @@ def _run_entropy_certificate(cfg, inputs, rng):
     laws, alpha, m_side, d, probes, margins = inputs
     q = len(alpha)
     phi = tuple(phi_m(l, m_side, d, probes=probes, rng=rng)[0] for l in laws)
-    if len(margins) == 3:
+    if margins:
         inputs = EntropyBoundInputs(z=0.0, alpha=alpha, m_side=m_side, d=d,
                                     phi=phi, q=q, **margins)
     else:
@@ -540,6 +544,9 @@ def _run_condition_check(cfg, inputs, rng):
         "atom_strict": int(summary["atom_strict"]),
         "atom_conjectured": int(summary["atom_conjectured"]),
     }
+    if "tilde_atom" in summary:  # only when q_bar and k are both given
+        row["tilde_atom"] = float(summary["tilde_atom"])
+        row["tilde_atom_strict"] = int(summary["tilde_atom_strict"])
     return [row], None
 
 
@@ -588,7 +595,8 @@ _KIND_COLUMNS = {
     "condition-check": lambda q: ["integrable", "moment", "coverage_condition",
                                   "coverage_method", "coverage_inconclusive",
                                   "coverage_conjectured", "atom",
-                                  "atom_strict", "atom_conjectured"],
+                                  "atom_strict", "atom_conjectured",
+                                  "tilde_atom", "tilde_atom_strict"],
 }
 
 

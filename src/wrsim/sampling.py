@@ -23,7 +23,7 @@ Birth-death kernel (one proposal):
 One sweep is max(1, ceil(sum_i z_i |L|)) proposals.  The cluster chain uses
 the same kernel with each acceptance ratio multiplied by q^(delta N_cc),
 where delta N_cc is the exact component-count change of the proposal,
-obtained by locally re-solving connectivity on the affected component.
+obtained from the affected component only.
 
 A chain is strictly sequential; parallelise by running independent replicas
 with independently seeded generators.  Emitted configurations are immutable
@@ -508,38 +508,19 @@ class WidomRowlinsonChain:
         return MultiTypeConfiguration([s.snapshot() for s in self.states])
 
 
-def _connectivity_pieces(centers, radii):
-    """Index groups of the overlap graph on a small ball set, via BFS with
-    vectorised frontier expansion (fast on the dense graphs the cluster chain
-    produces)."""
-    m = len(radii)
-    groups = []
-    unvisited = np.ones(m, dtype=bool)
-    while unvisited.any():
-        seed = int(unvisited.argmax())
-        comp = [seed]
-        unvisited[seed] = False
-        frontier = np.array([seed])
-        while frontier.size and unvisited.any():
-            cand = np.nonzero(unvisited)[0]
-            d2 = ((centers[cand][:, None, :] - centers[frontier][None, :, :]) ** 2).sum(-1)
-            rsum = radii[cand][:, None] + radii[frontier][None, :]
-            hit = (d2 <= rsum ** 2).any(axis=1)
-            frontier = cand[hit]
-            comp.extend(frontier.tolist())
-            unvisited[frontier] = False
-        groups.append(np.asarray(comp, dtype=np.int64))
-    return groups
-
-
 class RandomClusterChain:
     """Birth-death chain for the q^{N_cc}-weighted Poisson process.
 
     Acceptance ratios carry the exact q^(delta N_cc) factor: a birth touching
     m distinct components changes N_cc by 1 - m; a death splits its component
-    into ``pieces`` parts and changes N_cc by pieces - 1.  Component labels
-    are maintained incrementally (skipped entirely when q == 1, where the
-    weight is flat and the target is plain Poisson).
+    into ``pieces`` parts and changes N_cc by pieces - 1.  The pieces are
+    found by a split search seeded at the removed ball's neighbours that
+    stops as soon as one search has joined all of them, so the common
+    no-split death never sweeps the whole component (see
+    :meth:`_death_pieces`).  Component labels are maintained incrementally;
+    an accepted split relabels only the closed-off pieces (all of this is
+    skipped when q == 1, where the weight is flat and the target is plain
+    Poisson).
     """
 
     def __init__(self, window, z, law, q, rng):
@@ -620,31 +601,52 @@ class RandomClusterChain:
                 return
             j = int(rng.integers(self.n))
             ratio = self.n / (self.z * self.volume)
-            groups = None
             if self.track:
-                groups = self._death_pieces(j)
-                ratio *= self.q ** (len(groups) - 1)
+                pieces, closed = self._death_pieces(j)
+                ratio *= self.q ** (pieces - 1)
             if rng.random() < ratio:
                 self.accepted += 1
                 if self.track:
-                    self.n_components += len(groups) - 1
-                    if len(groups) != 1:
-                        for g in groups:
-                            self.labels[g] = self._next_label
-                            self._next_label += 1
+                    self.n_components += pieces - 1
+                    for g in closed:
+                        self.labels[g] = self._next_label
+                        self._next_label += 1
                 self._remove(j)
 
     def _death_pieces(self, j):
-        """Connectivity groups of ball j's component after deleting j (local
-        recomputation; exact)."""
+        """(piece count, closed-off pieces) of ball j's component once j is
+        deleted; exact.
+
+        Every piece holds a neighbour of j.  A BFS seeded at the largest
+        unreached neighbour (it reaches the most balls in one step) either
+        reaches all remaining neighbours, and then the rest of the component
+        is one piece and the search stops, or runs dry and closes off one
+        piece; the next unreached neighbour seeds the next BFS.  ``closed``
+        lists the member indices of the closed-off pieces; the last piece is
+        not listed and keeps the component's label.
+        """
         lab = self.labels[:self.n]
         members = np.nonzero(lab == lab[j])[0]
-        members = members[members != j]
-        if len(members) == 0:
-            return []
+        if len(members) <= 2:
+            return len(members) - 1, []
         c, rad = self.buf.view()
-        groups = _connectivity_pieces(c[members], rad[members])
-        return [members[g] for g in groups]
+        mc, mr = c[members], rad[members]
+        unvisited = members != j
+        unreached = unvisited & (((mc - c[j]) ** 2).sum(axis=1)
+                                 <= (mr + rad[j]) ** 2)
+        closed = []
+        while True:
+            before = unvisited.copy()
+            frontier = [np.where(unreached, mr, -np.inf).argmax()]
+            while len(frontier):
+                unvisited[frontier] = False
+                unreached[frontier] = False
+                if not unreached.any():
+                    return len(closed) + 1, closed
+                d2 = ((mc[frontier][:, None, :] - mc) ** 2).sum(axis=-1)
+                hit = (d2 <= (mr[frontier][:, None] + mr) ** 2).any(axis=0)
+                frontier = np.nonzero(hit & unvisited)[0]
+            closed.append(members[before & ~unvisited])
 
     def sweep(self):
         for _ in range(self.proposals_per_sweep):

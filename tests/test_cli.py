@@ -334,6 +334,32 @@ class TestConditionCheckKind:
         assert records[0]["integrable"] == 0
 
 
+    @pytest.mark.parametrize("extra, atom", [
+        # radii up to sqrt(d - 1) k map to 0: Pareto(0.5, 1) has no mass at
+        # or below 1, and 1 - 2^-0.5 at or below 2
+        ({"q_bar": 2.5, "k": 1.0}, 0.0),
+        ({"q_bar": 2.5, "k": 2.0}, 1 - 0.5 ** 0.5),
+        ({}, None),
+        ({"q_bar": 2.5}, None),
+        ({"k": 1.0}, None),
+    ])
+    def test_tilde_atom_columns(self, extra, atom):
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "condition-check", "seed": 3,
+            "params": {"law": {"kind": "pareto", "alpha": 0.5, "xmin": 1.0},
+                       "d": 2, **extra}})
+        assert experiment_schema(cfg)[-3:] == ["tilde_atom",
+                                               "tilde_atom_strict", "error"]
+        records, _, _ = run_experiment(cfg)
+        row = records[0]
+        if atom is None:
+            assert row["tilde_atom"] is None
+            assert row["tilde_atom_strict"] is None
+        else:
+            assert row["tilde_atom"] == pytest.approx(atom)
+            assert row["tilde_atom_strict"] == int(atom < 1 / 2.5)
+
+
 class TestFailureHandling:
     def test_runtime_failure_flags_row(self):
         # alpha = (1, 0) passes config validation but Psi'(0) >= 0, so the
@@ -403,6 +429,22 @@ class TestMain:
                "params": {"law": {"kind": "dirac", "radius": 0.2},
                           **good, **params}}
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert not os.path.exists(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("margins", [
+        {"beta": 0.5},
+        {"gamma": 0.1},
+        {"beta": 0.95, "epsilon": 0.2},
+    ])
+    def test_exit_two_on_partial_entropy_margins(self, tmp_path, capsys,
+                                                 margins):
+        raw = {"experiment": "entropy-certificate", "seed": 5,
+               "out": str(tmp_path / "bad"),
+               "params": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0, "d": 2,
+                          "law": {"kind": "dirac", "radius": 0.2},
+                          "phi_probes": 100, **margins}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert "beta, gamma and epsilon" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "bad.csv")
 
     def test_exit_two_without_out(self, tmp_path):

@@ -18,6 +18,7 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             effective_sample_size,
                             dump_multitype_configuration,
                             load_multitype_configuration)
+from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
 WINDOW = Window.cube(3.0, 2)
@@ -339,6 +340,140 @@ class TestCRCMChain:
         chain = RandomClusterChain(WINDOW, 0.5, LAW, 1.5, np.random.default_rng(26))
         chain.run(20)
         assert chain.n_components == connected_components(chain.state()).n_cc
+
+
+def same_partition(a, b):
+    """True iff two per-ball label arrays induce the same partition."""
+    a, b = np.asarray(a), np.asarray(b)
+    if len(a) != len(b):
+        return False
+    pairs = len(set(zip(a.tolist(), b.tolist())))
+    return pairs == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def assert_labels_exact(chain):
+    labeling = connected_components(chain.state())
+    assert chain.n_components == labeling.n_cc
+    assert same_partition(chain.labels[:chain.n], labeling.labels)
+
+
+def record_pieces(chain):
+    """Wrap the chain's death split so every piece count it returns is kept."""
+    seen = []
+    search = chain._death_pieces
+
+    def recorded(j):
+        out = search(j)
+        seen.append(out[0])
+        return out
+    chain._death_pieces = recorded
+    return seen
+
+
+def slab_chain_args(n, z, law):
+    """Cluster-chain arguments (window, z, law, q) of a k=1, d=2, q=2 slab."""
+    slab = SlabParams(n=n, k=1.0, d=2, z=z, law=law, q=2.0)
+    return slab.window, slab.z, slab.law, slab.q
+
+
+class TestCRCMExactness:
+    """The incremental labels must give the from-scratch partition after
+    every sweep, on chains whose deaths split components."""
+
+    @pytest.mark.parametrize("args, sweeps", [
+        (slab_chain_args(n=16.0, z=6.0, law=ParetoRadius(0.5, 0.5)), 25),
+        (slab_chain_args(n=30.0, z=3.0, law=DiracRadius(0.8)), 10),
+        ((Window.cube(3.0, 3), 3.0, ParetoRadius(0.5, 0.05), 2.0), 30),
+        ((Window.cube(3.0, 2), 1.5, UniformRadius(0.1, 0.7), 1.7), 40),
+    ], ids=["slab-pareto0.5", "slab-dirac0.8", "3d-pareto0.5", "q1.7"])
+    def test_labels_match_recomputed_every_sweep(self, args, sweeps):
+        chain = RandomClusterChain(*args, np.random.default_rng(31))
+        pieces = record_pieces(chain)
+        for _ in range(sweeps):
+            chain.sweep()
+            assert_labels_exact(chain)
+        assert max(pieces) >= 2  # some death proposal met a real split
+
+
+class _ScriptedRng:
+    """Stands in for a generator: ``random`` and ``integers`` return the
+    scripted values in order."""
+
+    def __init__(self, randoms, integers):
+        self.randoms = list(randoms)
+        self.ints = list(integers)
+
+    def random(self):
+        return self.randoms.pop(0)
+
+    def integers(self, n):
+        return self.ints.pop(0)
+
+
+def loaded_chain(centers, radii, q=2.0, rng=None):
+    """A cluster chain holding the given balls, labelled from scratch."""
+    centers = np.asarray(centers, dtype=float)
+    chain = RandomClusterChain(Window.cube(10.0, centers.shape[1]), 1.0,
+                               DiracRadius(0.5), q,
+                               rng or np.random.default_rng(0))
+    labeling = connected_components(Configuration(centers, np.asarray(radii, float)))
+    for x, r, lab in zip(centers, radii, labeling.labels):
+        chain._append(x, r, int(lab))
+    chain.n_components = labeling.n_cc
+    chain._next_label = len(radii)
+    return chain
+
+
+class TestDeathSplit:
+    def test_path_middle_removed_two_pieces(self):
+        chain = loaded_chain([[1, 1], [2, 1], [3, 1]], [0.5] * 3)
+        pieces, closed = chain._death_pieces(1)
+        assert pieces == 2
+        assert [sorted(g.tolist()) for g in closed] in ([[0]], [[2]])
+
+    def test_star_centre_removed_three_pieces(self):
+        chain = loaded_chain([[5, 5], [6, 5], [5, 6], [4, 5]], [0.5] * 4)
+        pieces, closed = chain._death_pieces(0)
+        assert pieces == 3
+        assert len(closed) == 2
+
+    def test_ring_one_piece(self):
+        angles = np.arange(8) * 2 * np.pi / 8
+        centers = 5 + 2 * np.column_stack([np.cos(angles), np.sin(angles)])
+        chain = loaded_chain(centers, [0.8] * 8)
+        assert connected_components(chain.state()).n_cc == 1
+        for j in range(8):
+            assert chain._death_pieces(j) == (1, [])
+
+    def test_isolated_ball_no_piece(self):
+        chain = loaded_chain([[1, 1], [5, 5], [5.5, 5]], [0.3] * 3)
+        assert chain._death_pieces(0) == (0, [])
+        assert chain._death_pieces(1) == (1, [])
+
+    def test_split_far_from_the_removed_ball(self):
+        # two long arms that only meet at the removed ball: each BFS must
+        # run the whole arm before the split is known
+        arm = [[5 + 0.9 * t, 5] for t in range(1, 7)]
+        other = [[5 - 0.9 * t, 5] for t in range(1, 7)]
+        chain = loaded_chain([[5, 5]] + arm + other, [0.5] * 13)
+        pieces, closed = chain._death_pieces(0)
+        assert pieces == 2
+        assert sorted(closed[0].tolist()) in (list(range(1, 7)),
+                                              list(range(7, 13)))
+
+    def test_accepted_split_keeps_labels_exact(self):
+        # star plus a separate pair; a death of the centre is proposed with
+        # uniforms that force acceptance
+        centers = [[5, 5], [6, 5], [5, 6], [4, 5], [1, 1], [1.5, 1]]
+        chain = loaded_chain(centers, [0.5] * 6,
+                             rng=_ScriptedRng([0.9, 0.0], [0]))
+        assert chain.n_components == 2
+        chain.step()
+        assert chain.n == 5 and chain.n_components == 4
+        assert_labels_exact(chain)
+        # the star had label 0 and the pair label 4; two leaves were closed
+        # off with fresh labels, the last leaf kept 0
+        assert sorted(set(chain.labels[:chain.n].tolist())) == [0, 4, 6, 7]
 
 
 class TestFKColoring:
