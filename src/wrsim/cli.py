@@ -67,8 +67,9 @@ from .geometry import Window
 from .distributions import law_from_spec, condition_summary
 from .components import connected_components, crossing_exists, covered_fraction
 from .sampling import (GibbsParams, BoundaryCondition, WidomRowlinsonChain,
-                       RandomClusterChain, sample_multitype_poisson,
-                       fk_coloring, effective_sample_size,
+                       RandomClusterChain, MultiTypeConfiguration,
+                       sample_multitype_poisson, fk_coloring,
+                       effective_sample_size,
                        dump_multitype_configuration, write_run_metadata)
 from .analysis import (EntropyBoundInputs, phi_m, small_z_threshold,
                        domination_test)
@@ -452,7 +453,7 @@ def _run_crcm_sample(cfg, inputs, rng):
         "acceptance_rate": chain.acceptance_rate,
         "ess_count": effective_sample_size(counts),
     }
-    return [row], None
+    return [row], MultiTypeConfiguration([state])
 
 
 def _run_fk_compare(cfg, params, rng):
@@ -770,7 +771,7 @@ def _dump_states(config, states, out_stem):
             "seed": derive_seed(config.seed, pi, ri),
             "sweeps": config.sweeps,
         }
-        for key in ("acceptance_rate", "ess_total"):
+        for key in ("acceptance_rate", "ess_total", "ess_count"):
             if row.get(key) is not None:
                 meta[key] = row[key]
         write_run_metadata(base + ".run.txt", meta)

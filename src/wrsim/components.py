@@ -6,10 +6,12 @@ covered fraction, and the per-colour census with the
 monochromatic/polychromatic flag.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
+from scipy.spatial import cKDTree
 
 from .geometry import overlap_pairs
 
@@ -25,6 +27,7 @@ __all__ = [
 
 _PROBE_JITTER_SEED = 0x5EEDC0DE  # fixed so coverage numbers are reproducible
 _DENSE_MAX = 64  # largest configuration labelled by dense propagation
+_LARGE_BALL_CELLS = 4  # radius, in probe cells, above which a ball is scanned
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,7 @@ def probe_points(window, probes):
     if probes < 1:
         raise ValueError("probes must be >= 1")
     d = window.dimension
-    m = max(1, round(probes ** (1.0 / d)))
-    while m ** d < probes:
-        m += 1
+    m = _lattice_side(d, probes)
     rng = np.random.default_rng(_PROBE_JITTER_SEED)
     idx = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"), axis=-1)
     idx = idx.reshape(-1, d).astype(float)
@@ -118,18 +119,50 @@ def probe_points(window, probes):
     return window.lower + (idx + jitter) * cell
 
 
+def _lattice_side(d, probes):
+    """Smallest m with m^d >= probes: cells per side of the probe lattice."""
+    m = max(1, round(probes ** (1.0 / d)))
+    while m ** d < probes:
+        m += 1
+    return m
+
+
 def covered_fraction(config, window, probes=2048):
-    """Fraction of the probe lattice covered by some ball."""
+    """Fraction of the probe lattice covered by some closed ball.
+
+    Balls of radius above four lattice cells (the largest side of
+    ``window.sides / m``) go first, largest first, each tested directly
+    against the probes still uncovered; that pass stops once every probe is
+    covered.  Every other ball finds its probes by one k-d tree query over
+    the uncovered probes at its radius, inflated so that a probe on the
+    sphere survives rounding, and one exact closed-ball test
+    ``d^2 <= r^2`` keeps the true hits.
+    """
     pts = probe_points(window, probes)
     if len(config) == 0:
         return 0.0
+    centers, radii = config.centers, config.radii
+    cutoff = _LARGE_BALL_CELLS * float(
+        np.max(window.sides / _lattice_side(window.dimension, probes)))
     covered = np.zeros(len(pts), dtype=bool)
-    for i in range(len(config)):
-        if covered.all():
-            break
-        rem = ~covered
-        diff = pts[rem] - config.centers[i]
-        covered[rem] = (diff ** 2).sum(axis=1) <= config.radii[i] ** 2
+    large = np.flatnonzero(radii > cutoff)
+    for i in large[np.argsort(-radii[large])]:
+        rem = np.flatnonzero(~covered)
+        if len(rem) == 0:
+            return 1.0
+        hit = ((pts[rem] - centers[i]) ** 2).sum(axis=1) <= radii[i] ** 2
+        covered[rem[hit]] = True
+    rem = np.flatnonzero(~covered)
+    small = np.flatnonzero(radii <= cutoff)
+    if len(rem) and len(small):
+        found = cKDTree(pts[rem]).query_ball_point(
+            centers[small], radii[small] * (1.0 + 1e-9) + 1e-12)
+        lengths = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+        probe = rem[np.fromiter(itertools.chain.from_iterable(found),
+                                dtype=np.intp, count=int(lengths.sum()))]
+        ball = np.repeat(small, lengths)
+        hit = ((pts[probe] - centers[ball]) ** 2).sum(axis=1) <= radii[ball] ** 2
+        covered[probe[hit]] = True
     return float(covered.mean())
 
 

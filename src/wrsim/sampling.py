@@ -61,6 +61,8 @@ __all__ = [
     "write_run_metadata",
 ]
 
+_AUTH_CHUNK = 512  # rejection rows tested together, bounding the pair arrays
+
 
 class RejectionBudgetError(RuntimeError):
     """Raised when rejection sampling exhausts its attempt budget; carries the
@@ -326,24 +328,27 @@ def _batch_authorized(params, batch, rng, boundary_mc):
         radii.append(r)
     bad = np.zeros(batch, dtype=bool)
     boundary = [(c.centers, c.radii) for c in boundary_mc.configs]
-    for i in range(params.q):
-        for j in range(i + 1, params.q):
-            d2 = ((centers[i][:, :, None, :] - centers[j][:, None, :, :]) ** 2).sum(-1)
-            rsum = radii[i][:, :, None] + radii[j][:, None, :]
-            hit = (d2 <= rsum ** 2) & (rsum >= 0)
-            bad |= hit.reshape(batch, -1).any(axis=1)
-        # chain colour i against every other colour's boundary balls
-        for j in range(params.q):
-            if j == i:
-                continue
-            bc, br = boundary[j]
-            if len(bc) == 0:
-                continue
-            d2 = ((centers[i][:, :, None, :] - bc[None, None, :, :]) ** 2).sum(-1)
-            rsum = radii[i][:, :, None] + br[None, None, :]
-            hit = (d2 <= rsum ** 2) & (rsum >= 0)
-            bad |= hit.reshape(batch, -1).any(axis=1)
+    for lo in range(0, batch, _AUTH_CHUNK):
+        rows = slice(lo, lo + _AUTH_CHUNK)
+        for i in range(params.q):
+            ci, ri = centers[i][rows], radii[i][rows]
+            for j in range(i + 1, params.q):
+                bad[rows] |= _rows_meet(ci, ri, centers[j][rows], radii[j][rows])
+            # chain colour i against every other colour's boundary balls
+            for j in range(params.q):
+                bc, br = boundary[j]
+                if j != i and len(bc):
+                    bad[rows] |= _rows_meet(ci, ri, bc[None], br[None])
     return counts, centers, radii, ~bad
+
+
+def _rows_meet(ci, ri, cj, rj):
+    """Per row, whether some ball of (ci, ri) meets some ball of (cj, rj);
+    centres are (rows, m, d), radii (rows, m), and a leading axis of length
+    one is shared by every row.  Padding radii of -inf never meet."""
+    d2 = ((ci[:, :, None, :] - cj[:, None, :, :]) ** 2).sum(-1)
+    rsum = ri[:, :, None] + rj[:, None, :]
+    return ((d2 <= rsum ** 2) & (rsum >= 0)).any(axis=(1, 2))
 
 
 def _extract_mc(params, counts, centers, radii, row):

@@ -46,6 +46,17 @@ def all_pairs_oracle(config):
             if balls_overlap(config.ball(i), config.ball(j))}
 
 
+def covered_oracle(centers, radii, probes):
+    """Per probe, whether some closed ball holds it (``d^2 <= r^2``), from a
+    dense probe-by-ball scan."""
+    probes = np.asarray(probes, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if len(radii) == 0:
+        return np.zeros(len(probes), dtype=bool)
+    d2 = ((probes[:, None, :] - np.asarray(centers)[None, :, :]) ** 2).sum(-1)
+    return (d2 <= radii[None, :] ** 2).any(axis=1)
+
+
 def interval_bfs_oracle(starts, lengths):
     """Component count of a union of closed intervals, via the pairwise
     overlap graph and BFS (no sorting shortcut)."""

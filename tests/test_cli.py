@@ -7,6 +7,7 @@ import pytest
 from wrsim.cli import (ConfigError, ExperimentConfig, derive_seed, sweep_plan,
                        run_experiment, emit_records, load_records,
                        experiment_schema, main)
+from wrsim.sampling import load_multitype_configuration
 
 
 def base_config(**over):
@@ -489,3 +490,23 @@ class TestMain:
         assert os.path.exists(tmp_path / "dump.p000r000.balls.txt")
         run_meta = (tmp_path / "dump.p000r000.run.txt").read_text()
         assert "seed=" in run_meta and "sweeps=30" in run_meta
+
+    def test_crcm_sample_dumps_final_state(self, tmp_path):
+        raw = {"experiment": "crcm-sample", "seed": 3, "replicas": 2,
+               "sweeps": 20, "out": str(tmp_path / "crcm"),
+               "dump_samples": True,
+               "params": {"q": 2, "z": 1.0,
+                          "law": {"kind": "pareto", "alpha": 0.5,
+                                  "xmin": 0.1},
+                          "window": [[0, 0], [3, 3]]}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        _, records = load_records(str(tmp_path / "crcm.csv"))
+        assert len(records) == 2
+        for ri, row in enumerate(records):
+            base = tmp_path / f"crcm.p000r{ri:03d}"
+            # every ball is written with colour 1
+            mc = load_multitype_configuration(str(base) + ".balls.txt", 1, 2)
+            assert len(mc.configs[0]) == row["count"] > 0
+            run_meta = (base.parent / (base.name + ".run.txt")).read_text()
+            assert "experiment=crcm-sample" in run_meta
+            assert "sweeps=20" in run_meta and "ess_count=" in run_meta

@@ -18,6 +18,7 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             effective_sample_size,
                             dump_multitype_configuration,
                             load_multitype_configuration)
+from wrsim.sampling import _AUTH_CHUNK, _batch_authorized, _extract_mc
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -154,6 +155,24 @@ class TestRejection:
         ts = np.array([mc.total_count() for mc in seq])
         se = math.sqrt(tb.var() / len(tb) + ts.var() / len(ts))
         assert abs(tb.mean() - ts.mean()) < 3 * se
+
+    @pytest.mark.parametrize("boundary", [
+        BoundaryCondition.free(), BoundaryCondition.ordered(1, 1.0)])
+    def test_batch_rows_match_is_authorized(self, boundary):
+        # more rows than one test chunk and not a multiple of it, so a
+        # partial last chunk and the chunk seams are both covered
+        params = GibbsParams.symmetric(3, 0.4, LAW, WINDOW, boundary=boundary)
+        rng = np.random.default_rng(13)
+        outside = build_boundary(params, rng)
+        batch = 2 * _AUTH_CHUNK + 37
+        counts, centers, radii, ok = _batch_authorized(params, batch, rng,
+                                                        outside)
+        assert len(ok) == batch and 0 < ok.sum() < batch
+        if boundary.kind == "ordered":
+            assert outside.total_count() > 0
+        for row in range(batch):
+            mc = _extract_mc(params, counts, centers, radii, row)
+            assert ok[row] == is_authorized(mc, outside)
 
 
 class TestWRChain:
