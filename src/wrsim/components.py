@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
-from .geometry import overlap_pairs
+from .geometry import _sq_dist, overlap_pairs
 
 __all__ = [
     "ComponentLabeling",
@@ -76,8 +76,8 @@ def _dense_labels(centers, radii):
     """Smallest member index per ball, by min-label propagation with pointer
     jumping over the closed-ball adjacency (self-loops included)."""
     n = len(radii)
-    d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    adj = d2 <= (radii[:, None] + radii[None, :]) ** 2
+    adj = (_sq_dist(centers[:, None, :], centers[None, :, :])
+           <= (radii[:, None] + radii[None, :]) ** 2)
     labels = np.arange(n)
     while True:
         new = np.where(adj, labels, n).min(axis=1, initial=n)
@@ -150,7 +150,7 @@ def covered_fraction(config, window, probes=2048):
         rem = np.flatnonzero(~covered)
         if len(rem) == 0:
             return 1.0
-        hit = ((pts[rem] - centers[i]) ** 2).sum(axis=1) <= radii[i] ** 2
+        hit = _sq_dist(pts[rem], centers[i]) <= radii[i] ** 2
         covered[rem[hit]] = True
     rem = np.flatnonzero(~covered)
     small = np.flatnonzero(radii <= cutoff)
@@ -161,7 +161,7 @@ def covered_fraction(config, window, probes=2048):
         probe = rem[np.fromiter(itertools.chain.from_iterable(found),
                                 dtype=np.intp, count=int(lengths.sum()))]
         ball = np.repeat(small, lengths)
-        hit = ((pts[probe] - centers[ball]) ** 2).sum(axis=1) <= radii[ball] ** 2
+        hit = _sq_dist(pts[probe], centers[ball]) <= radii[ball] ** 2
         covered[probe[hit]] = True
     return float(covered.mean())
 

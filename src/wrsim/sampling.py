@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FLOAT_FORMAT, Configuration, Window, _opened
+from .geometry import FLOAT_FORMAT, Configuration, Window, _opened, _sq_dist
 from .components import connected_components
 
 __all__ = [
@@ -204,7 +204,7 @@ def sample_multitype_poisson(params, rng):
 def _cross_overlap_any(c1, r1, c2, r2):
     if len(c1) == 0 or len(c2) == 0:
         return False
-    d2 = ((c1[:, None, :] - c2[None, :, :]) ** 2).sum(axis=-1)
+    d2 = _sq_dist(c1[:, None, :], c2[None, :, :])
     rsum = r1[:, None] + r2[None, :]
     return bool((d2 <= rsum ** 2).any())
 
@@ -346,7 +346,7 @@ def _rows_meet(ci, ri, cj, rj):
     """Per row, whether some ball of (ci, ri) meets some ball of (cj, rj);
     centres are (rows, m, d), radii (rows, m), and a leading axis of length
     one is shared by every row.  Padding radii of -inf never meet."""
-    d2 = ((ci[:, :, None, :] - cj[:, None, :, :]) ** 2).sum(-1)
+    d2 = _sq_dist(ci[:, :, None, :], cj[:, None, :, :])
     rsum = ri[:, :, None] + rj[:, None, :]
     return ((d2 <= rsum ** 2) & (rsum >= 0)).any(axis=(1, 2))
 
@@ -440,6 +440,7 @@ class WidomRowlinsonChain:
         self.params = params
         self.rng = rng
         self.volume = params.window.volume
+        self.lower, self.sides = params.window.lower, params.window.sides
         if boundary_mc is None:
             boundary_mc = build_boundary(params, rng)
         self.boundary = [(c.centers, c.radii) for c in boundary_mc.configs]
@@ -465,15 +466,11 @@ class WidomRowlinsonChain:
             if j == i:
                 continue
             c, rad = self.states[j].view()
-            if len(c):
-                d2 = ((c - x) ** 2).sum(axis=1)
-                if bool((d2 <= (rad + r) ** 2).any()):
-                    return False
+            if len(c) and (_sq_dist(c, x) <= (rad + r) ** 2).any():
+                return False
             bc, br = self.boundary[j]
-            if len(bc):
-                d2 = ((bc - x) ** 2).sum(axis=1)
-                if bool((d2 <= (br + r) ** 2).any()):
-                    return False
+            if len(bc) and (_sq_dist(bc, x) <= (br + r) ** 2).any():
+                return False
         return True
 
     def step(self):
@@ -482,7 +479,7 @@ class WidomRowlinsonChain:
         i = int(rng.integers(p.q))
         self.proposals += 1
         if rng.random() < 0.5:  # birth
-            x = p.window.sample_points(rng, 1)[0]
+            x = self.lower + rng.random(len(self.sides)) * self.sides
             r = float(p.laws[i].sample(rng))
             if not self._birth_authorized(i, x, r):
                 return
@@ -539,6 +536,7 @@ class RandomClusterChain:
         self.q = float(q)
         self.rng = rng
         self.volume = window.volume
+        self.lower, self.sides = window.lower, window.sides
         self.track = self.q != 1.0
         self.buf = _Buffer(window.dimension)
         self.labels = np.empty(8, dtype=np.int64)
@@ -560,8 +558,7 @@ class RandomClusterChain:
         c, rad = self.buf.view()
         if len(c) == 0:
             return np.empty(0, dtype=np.int64)
-        d2 = ((c - x) ** 2).sum(axis=1)
-        return np.nonzero(d2 <= (rad + r) ** 2)[0]
+        return np.nonzero(_sq_dist(c, x) <= (rad + r) ** 2)[0]
 
     def _append(self, x, r, label):
         self.buf.append(x, r)
@@ -577,13 +574,16 @@ class RandomClusterChain:
         rng = self.rng
         self.proposals += 1
         if rng.random() < 0.5:  # birth
-            x = self.window.sample_points(rng, 1)[0]
+            x = self.lower + rng.random(len(self.sides)) * self.sides
             r = float(self.law.sample(rng))
             ratio = self.z * self.volume / (self.n + 1)
             touched = None
             if self.track:
-                partners = self._partners(x, r)
-                touched = np.unique(self.labels[:self.n][partners])
+                touched = self.labels[:self.n][self._partners(x, r)]
+                if len(touched) > 1 and (touched[1:] != touched[0]).any():
+                    touched = np.unique(touched)
+                else:
+                    touched = touched[:1]
                 ratio *= self.q ** (1 - len(touched))
             if rng.random() < ratio:
                 self.accepted += 1
@@ -637,8 +637,7 @@ class RandomClusterChain:
         c, rad = self.buf.view()
         mc, mr = c[members], rad[members]
         unvisited = members != j
-        unreached = unvisited & (((mc - c[j]) ** 2).sum(axis=1)
-                                 <= (mr + rad[j]) ** 2)
+        unreached = unvisited & (_sq_dist(mc, c[j]) <= (mr + rad[j]) ** 2)
         closed = []
         while True:
             before = unvisited.copy()
@@ -648,7 +647,7 @@ class RandomClusterChain:
                 unreached[frontier] = False
                 if not unreached.any():
                     return len(closed) + 1, closed
-                d2 = ((mc[frontier][:, None, :] - mc) ** 2).sum(axis=-1)
+                d2 = _sq_dist(mc[frontier][:, None, :], mc)
                 hit = (d2 <= (mr[frontier][:, None] + mr) ** 2).any(axis=0)
                 frontier = np.nonzero(hit & unvisited)[0]
             closed.append(members[before & ~unvisited])

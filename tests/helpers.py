@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 
-from wrsim.geometry import balls_overlap
+from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
+from wrsim.geometry import Configuration, Window, balls_overlap
+from wrsim.sampling import (BoundaryCondition, GibbsParams,
+                            MultiTypeConfiguration, build_boundary)
 
 
 def bfs_ncc_oracle(config):
@@ -44,6 +47,98 @@ def all_pairs_oracle(config):
     n = len(config)
     return {(i, j) for i in range(n) for j in range(i + 1, n)
             if balls_overlap(config.ball(i), config.ball(j))}
+
+
+def shell_boundary(q, window, rng, per_color=3):
+    """Authorized explicit boundary: up to ``per_color`` balls of each
+    colour, radii in [0, 0.8), centred outside the window but within 1 of
+    it; a candidate meeting a kept ball of another colour is dropped."""
+    d = window.dimension
+    kept = [[] for _ in range(q)]
+    for _ in range(64 * per_color):
+        x = window.lower - 1.0 + rng.random(d) * (window.sides + 2.0)
+        r = 0.8 * rng.random()
+        i = int(rng.integers(q))
+        if (len(kept[i]) == per_color or window.contains_points(x)[0] or any(
+                np.sum((x - y) ** 2) <= (r + s) ** 2
+                for j in range(q) if j != i for y, s in kept[j])):
+            continue
+        kept[i].append((x, r))
+    return MultiTypeConfiguration(
+        [Configuration(np.array([x for x, _ in k]).reshape(-1, d),
+                       np.array([r for _, r in k], dtype=float))
+         for k in kept])
+
+
+ORACLE_LAWS = [DiracRadius(0.4), UniformRadius(0.0, 0.6),
+               ParetoRadius(0.5, 0.05), ParetoRadius(1.2, 0.2)]
+
+
+def oracle_params(d, law, q, boundary, seed):
+    """Symmetric chain parameters, z = 0.8, on a cube of volume 6 to 9;
+    ``boundary`` is "free", "ordered" (colour q, shell 1) or "explicit" (a
+    :func:`shell_boundary` drawn from ``seed``)."""
+    window = Window.cube({1: 6.0, 2: 3.0, 3: 2.0}[d], d)
+    cond = BoundaryCondition.free()
+    if boundary == "ordered":
+        cond = BoundaryCondition.ordered(q, 1.0)
+    elif boundary == "explicit":
+        cond = BoundaryCondition.explicit(
+            shell_boundary(q, window, np.random.default_rng(seed)))
+    return GibbsParams.symmetric(q, 0.8, law, window, boundary=cond)
+
+
+def reference_wr_chain(params, sweeps, rng):
+    """The birth-death kernel of :mod:`wrsim.sampling`'s docstring, run from
+    empty for ``sweeps`` sweeps with a dense scan per birth; returns (state,
+    proposals, accepted).
+
+    Draws come in the order the kernel states: an ordered boundary's shell,
+    then per proposal the colour, the birth/death coin, a birth's centre
+    (``window.sample_points``) and radius or a death's ball index, and the
+    acceptance uniform.  Each colour keeps its balls in swap-remove order: a
+    death moves the colour's last ball into the freed slot.
+    """
+    window, d = params.window, params.window.dimension
+    outside = [(c.centers, c.radii) for c in build_boundary(params, rng).configs]
+    centers = [[] for _ in range(params.q)]
+    radii = [[] for _ in range(params.q)]
+    proposals = accepted = 0
+    for _ in range(sweeps * max(1, math.ceil(params.expected_count))):
+        i = int(rng.integers(params.q))
+        proposals += 1
+        if rng.random() < 0.5:
+            x = window.sample_points(rng, 1)[0]
+            r = float(params.laws[i].sample(rng))
+            blocked = False
+            for j in range(params.q):
+                if j == i:
+                    continue
+                for c, rad in ((np.array(centers[j]).reshape(-1, d),
+                                np.array(radii[j])), outside[j]):
+                    d2 = ((c - x) ** 2).sum(axis=1)
+                    blocked |= bool((d2 <= (rad + r) ** 2).any())
+            if blocked:
+                continue
+            n_i = len(radii[i])
+            if rng.random() < params.z[i] * window.volume / (n_i + 1):
+                centers[i].append(x)
+                radii[i].append(r)
+                accepted += 1
+        else:
+            n_i = len(radii[i])
+            if n_i == 0:
+                continue
+            j = int(rng.integers(n_i))
+            if rng.random() < n_i / (params.z[i] * window.volume):
+                last_c, last_r = centers[i].pop(), radii[i].pop()
+                if j < n_i - 1:
+                    centers[i][j], radii[i][j] = last_c, last_r
+                accepted += 1
+    state = MultiTypeConfiguration(
+        [Configuration(np.array(c).reshape(-1, d), np.array(r, dtype=float))
+         for c, r in zip(centers, radii)])
+    return state, proposals, accepted
 
 
 def covered_oracle(centers, radii, probes):

@@ -19,6 +19,7 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             dump_multitype_configuration,
                             load_multitype_configuration)
 from wrsim.sampling import _AUTH_CHUNK, _batch_authorized, _extract_mc
+from helpers import ORACLE_LAWS, oracle_params, reference_wr_chain
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -282,6 +283,28 @@ class TestWRChain:
                                 boundary_mc.configs[i].radii]))
             for i in range(2)])
         assert is_authorized(merged)
+
+
+class TestWRChainOracle:
+    """Same seed, same result: the chain against a dense transcription of
+    the documented kernel (``helpers.reference_wr_chain``)."""
+
+    @pytest.mark.parametrize("boundary", ["free", "ordered", "explicit"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_kernel(self, d, law, q, boundary):
+        params = oracle_params(d, law, q, boundary, seed=60 + d)
+        seed = 70 + 10 * d + q
+        chain = WidomRowlinsonChain(params, np.random.default_rng(seed))
+        chain.run(25)
+        ref, proposals, accepted = reference_wr_chain(
+            params, 25, np.random.default_rng(seed))
+        assert (chain.proposals, chain.accepted) == (proposals, accepted)
+        assert accepted > 0
+        for got, want in zip(chain.state().configs, ref.configs):
+            assert got.centers.tobytes() == want.centers.tobytes()
+            assert got.radii.tobytes() == want.radii.tobytes()
 
 
 class TestCRCMChain:
