@@ -4,8 +4,7 @@ representation."""
 
 __version__ = "0.1.0"
 
-from .geometry import (MarkedPoint, Window, Configuration, balls_overlap,
-                       ball_inside_window)
+from .geometry import Window, Configuration
 from .distributions import (DiracRadius, UniformRadius, ExponentialRadius,
                             ParetoRadius, AtomMixtureRadius,
                             classify_integrability, check_coverage_condition,
@@ -14,9 +13,9 @@ from .components import (connected_components, crossing_exists,
                          covered_fraction, color_census)
 from .sampling import (MultiTypeConfiguration, BoundaryCondition, GibbsParams,
                        sample_poisson, sample_multitype_poisson, is_authorized,
-                       sample_wr_rejection, mcmc_wr_run, mcmc_crcm_run,
-                       fk_coloring, build_boundary, WidomRowlinsonChain,
-                       RandomClusterChain, effective_sample_size)
+                       sample_wr_rejection, fk_coloring, build_boundary,
+                       WidomRowlinsonChain, RandomClusterChain,
+                       effective_sample_size)
 from .analysis import (EntropyBoundInputs, phi_m, psi_eval,
                        mono_entropy_lower_bound, entropy_upper_estimate,
                        small_z_threshold, domination_test)

@@ -59,6 +59,8 @@ import json
 import math
 import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,29 +93,8 @@ SEED_MASK = (1 << 64) - 1
 SEED_MIX_POINT = 0x9E3779B97F4A7C15
 SEED_MIX_REPLICA = 0xD1B54A32D192ED03
 
-EXPERIMENT_KINDS = (
-    "wr-sample", "crcm-sample", "fk-compare", "domination", "phase-sweep",
-    "slab-renewal", "entropy-certificate", "condition-check",
-)
-
 _TOP_KEYS = {"experiment", "seed", "replicas", "sweeps", "out", "format",
              "threads", "params", "sweep", "dump_samples"}
-
-_PARAM_KEYS = {
-    "wr-sample": ({"q", "z", "law", "window"}, {"boundary", "probes"}),
-    "phase-sweep": ({"q", "z", "law", "window"}, {"boundary"}),
-    "fk-compare": ({"q", "z", "law", "window"}, set()),
-    "domination": ({"q", "z", "law", "window"}, {"boundary", "threshold"}),
-    "crcm-sample": ({"q", "z", "law", "window"}, {"probes"}),
-    "slab-renewal": ({"n", "k", "d", "z", "law"}, {"q", "q_bar"}),
-    "entropy-certificate": ({"q", "alpha", "m_side", "d", "law"},
-                            {"beta", "gamma", "epsilon", "phi_probes"}),
-    "condition-check": ({"law", "d"}, {"q", "q_bar", "k"}),
-}
-
-# kinds whose schema hardwires the colour count; sweeping q there is an error
-_Q_FIXED_KINDS = {"wr-sample", "phase-sweep", "fk-compare",
-                  "entropy-certificate"}
 
 
 class ConfigError(ValueError):
@@ -159,7 +140,7 @@ class ExperimentConfig:
         inputs, problems = [], []
         for pi, point in enumerate(sweep_plan(self)):
             try:
-                inputs.append(_RESOLVERS[self.kind]({**self.params, **point}))
+                inputs.append(_KINDS[self.kind].resolve({**self.params, **point}))
             except (ValueError, TypeError, KeyError) as exc:
                 where = f"sweep point {pi} {point}" if point else "params"
                 problems.append(f"{where}: {exc}")
@@ -176,10 +157,12 @@ class ExperimentConfig:
             if key not in _TOP_KEYS:
                 problems.append(f"unknown key {key!r}")
         kind = raw.get("experiment")
-        if kind not in EXPERIMENT_KINDS:
+        spec = _KINDS[kind] if kind in EXPERIMENT_KINDS else None
+        if spec is None:
             problems.append(
                 f"experiment must be one of {', '.join(EXPERIMENT_KINDS)}; "
                 f"got {kind!r}")
+        keys = spec.required | spec.optional if spec else set()
         overrides = overrides or {}
         seed = overrides.get("seed", raw.get("seed"))
         if seed is None:
@@ -208,13 +191,11 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             problems.append("params: required object")
             params = {}
-        elif kind in _PARAM_KEYS:
-            required, optional = _PARAM_KEYS[kind]
-            allowed = required | optional
+        elif spec:
             for key in params:
-                if key not in allowed:
+                if key not in keys:
                     problems.append(f"params.{key}: unknown for {kind}")
-            for key in required:
+            for key in spec.required:
                 if key not in params:
                     problems.append(f"params.{key}: required for {kind}")
 
@@ -223,12 +204,7 @@ class ExperimentConfig:
         if not isinstance(sweep_raw, list):
             problems.append("sweep: must be a list of axes")
         else:
-            allowed = set()
-            if kind in _PARAM_KEYS:
-                required, optional = _PARAM_KEYS[kind]
-                allowed = required | optional
-                if kind in _Q_FIXED_KINDS:
-                    allowed = allowed - {"q"}
+            allowed = keys if spec is None or spec.sweep_q else keys - {"q"}
             for i, axis in enumerate(sweep_raw):
                 if (not isinstance(axis, dict)
                         or set(axis) != {"name", "values"}):
@@ -390,8 +366,10 @@ def _point_cell(value):
 
 # ---------------------------------------------------------------- runners
 
-def _wr_chain_rows(cfg, params, rng, probes=None):
-    """One WR chain's row; geometry columns only when ``probes`` is given."""
+def _wr_chain_rows(cfg, inputs, rng):
+    """One WR chain's row; geometry columns only when ``inputs`` carries a
+    probe count."""
+    params, probes = inputs
     with_geometry = probes is not None
     chain = WidomRowlinsonChain(params, rng)
     burn = cfg.sweeps // 2
@@ -420,17 +398,6 @@ def _wr_chain_rows(cfg, params, rng, probes=None):
     row["acceptance_rate"] = chain.acceptance_rate
     if with_geometry:
         row["ess_total"] = effective_sample_size(totals)
-    return row, state, chain
-
-
-def _run_wr_sample(cfg, inputs, rng):
-    params, probes = inputs
-    row, state, chain = _wr_chain_rows(cfg, params, rng, probes)
-    return [row], state
-
-
-def _run_phase_sweep(cfg, params, rng):
-    row, state, chain = _wr_chain_rows(cfg, params, rng)
     return [row], state
 
 
@@ -551,62 +518,130 @@ def _run_condition_check(cfg, inputs, rng):
     return [row], None
 
 
-_RUNNERS = {
-    "wr-sample": _run_wr_sample,
-    "phase-sweep": _run_phase_sweep,
-    "crcm-sample": _run_crcm_sample,
-    "fk-compare": _run_fk_compare,
-    "domination": _run_domination,
-    "slab-renewal": _run_slab_renewal,
-    "entropy-certificate": _run_entropy_certificate,
-    "condition-check": _run_condition_check,
+# ---------------------------------------------------------------- summaries
+
+def _summarize_domination(rows):
+    report = domination_test(
+        {"total_count": [r["wr_total"] for r in rows],
+         "threshold_exceedance": [r["wr_exceed"] for r in rows]},
+        {"total_count": [r["poisson_total"] for r in rows],
+         "threshold_exceedance": [r["poisson_exceed"] for r in rows]},
+        min_samples=1)
+    observables = [
+        {"observable": row.observable, "z_score": row.z_score,
+         "sample_mean": row.sample_mean,
+         "reference_mean": row.reference_mean, "passed": row.passed}
+        for row in report.rows]
+    return {"observables": observables, "passed": report.passed}
+
+
+def _summarize_slab(rows):
+    ncc = np.array([r["n_cc_right"] for r in rows])
+    nonempty = ncc[ncc > 0]
+    if not len(nonempty):
+        return {}
+    p_hat = float((nonempty == 1).mean())
+    return {"p_hat": p_hat,
+            "p_stderr": math.sqrt(max(p_hat * (1 - p_hat), 0.0) / len(nonempty)),
+            "inverse_mean_ncc": float(1.0 / nonempty.mean()),
+            "n_nonempty": int(len(nonempty))}
+
+
+def _summarize_fk(rows):
+    entry = {}
+    for pipeline in ("fk", "wr"):
+        sel = [r for r in rows if r["pipeline"] == pipeline]
+        if sel:
+            entry[f"{pipeline}_mean_total"] = float(
+                np.mean([r["total_count"] for r in sel]))
+            entry[f"{pipeline}_poly_rate"] = float(
+                np.mean([r["polychromatic"] for r in sel]))
+    return entry
+
+
+# ---------------------------------------------------------------- kinds
+
+class _Kind(NamedTuple):
+    """Everything the runner knows of one experiment kind."""
+
+    required: set  # param keys that must be given
+    optional: set  # param keys that may be given
+    resolve: Callable  # merged sweep-point params -> the runner's inputs
+    run: Callable  # (config, inputs, rng) -> (rows, state to dump or None)
+    columns: tuple  # the kind's own columns; "{i}" marks one per colour
+    summarize: Callable | None = None  # a point's error-free rows -> fields
+
+    @property
+    def sweep_q(self):
+        # per-colour columns fix the colour count for the whole run
+        return not any("{i}" in col for col in self.columns)
+
+
+_GIBBS_KEYS = {"q", "z", "law", "window"}
+
+_KINDS = {
+    "wr-sample": _Kind(
+        _GIBBS_KEYS, {"boundary", "probes"},
+        resolve=lambda merged: (_gibbs_from(merged), _probes_from(merged)),
+        run=_wr_chain_rows,
+        columns=("count_{i}", "total_count", "n_cc", "crossing",
+                 "covered_fraction", "dominant_fraction", "monochromatic",
+                 "acceptance_rate", "ess_total")),
+    "crcm-sample": _Kind(
+        _GIBBS_KEYS, {"probes"}, resolve=_crcm_from, run=_run_crcm_sample,
+        columns=("count", "n_cc", "crossing", "covered_fraction",
+                 "acceptance_rate", "ess_count")),
+    "fk-compare": _Kind(
+        _GIBBS_KEYS, set(), resolve=_symmetric_gibbs_from, run=_run_fk_compare,
+        columns=("pipeline", "count_{i}", "total_count", "n_cc",
+                 "polychromatic"),
+        summarize=_summarize_fk),
+    "domination": _Kind(
+        _GIBBS_KEYS, {"boundary", "threshold"}, resolve=_domination_from,
+        run=_run_domination,
+        columns=("wr_total", "wr_exceed", "poisson_total", "poisson_exceed"),
+        summarize=_summarize_domination),
+    "phase-sweep": _Kind(
+        _GIBBS_KEYS, {"boundary"},
+        resolve=lambda merged: (_gibbs_from(merged), None),
+        run=_wr_chain_rows,
+        columns=("count_{i}", "total_count", "dominant_fraction",
+                 "monochromatic", "acceptance_rate")),
+    "slab-renewal": _Kind(
+        {"n", "k", "d", "z", "law"}, {"q", "q_bar"}, resolve=_slab_from,
+        run=_run_slab_renewal,
+        columns=("n", "k", "z", "law", "count", "n_cc_right",
+                 "right_edge_reached", "right_edge_reached_half"),
+        summarize=_summarize_slab),
+    "entropy-certificate": _Kind(
+        {"q", "alpha", "m_side", "d", "law"},
+        {"beta", "gamma", "epsilon", "phi_probes"}, resolve=_entropy_from,
+        run=_run_entropy_certificate,
+        columns=("phi_{i}", "beta", "gamma", "epsilon", "z_star", "psi_at_z",
+                 "bound_at_z", "margin")),
+    "condition-check": _Kind(
+        {"law", "d"}, {"q", "q_bar", "k"}, resolve=_condition_from,
+        run=_run_condition_check,
+        columns=("integrable", "moment", "coverage_condition",
+                 "coverage_method", "coverage_inconclusive",
+                 "coverage_conjectured", "atom", "atom_strict",
+                 "atom_conjectured", "tilde_atom", "tilde_atom_strict")),
 }
 
-# merged sweep-point params -> the converted inputs its runner reads
-_RESOLVERS = {
-    "wr-sample": lambda merged: (_gibbs_from(merged), _probes_from(merged)),
-    "phase-sweep": _gibbs_from,
-    "crcm-sample": _crcm_from,
-    "fk-compare": _symmetric_gibbs_from,
-    "domination": _domination_from,
-    "slab-renewal": _slab_from,
-    "entropy-certificate": _entropy_from,
-    "condition-check": _condition_from,
-}
-
-_KIND_COLUMNS = {
-    "wr-sample": lambda q: [f"count_{i + 1}" for i in range(q)] + [
-        "total_count", "n_cc", "crossing", "covered_fraction",
-        "dominant_fraction", "monochromatic", "acceptance_rate", "ess_total"],
-    "phase-sweep": lambda q: [f"count_{i + 1}" for i in range(q)] + [
-        "total_count", "dominant_fraction", "monochromatic",
-        "acceptance_rate"],
-    "crcm-sample": lambda q: ["count", "n_cc", "crossing", "covered_fraction",
-                              "acceptance_rate", "ess_count"],
-    "fk-compare": lambda q: ["pipeline"] + [
-        f"count_{i + 1}" for i in range(q)] + [
-        "total_count", "n_cc", "polychromatic"],
-    "domination": lambda q: ["wr_total", "wr_exceed", "poisson_total",
-                             "poisson_exceed"],
-    "slab-renewal": lambda q: ["n", "k", "z", "law", "count", "n_cc_right",
-                               "right_edge_reached", "right_edge_reached_half"],
-    "entropy-certificate": lambda q: [f"phi_{i + 1}" for i in range(q)] + [
-        "beta", "gamma", "epsilon", "z_star", "psi_at_z", "bound_at_z",
-        "margin"],
-    "condition-check": lambda q: ["integrable", "moment", "coverage_condition",
-                                  "coverage_method", "coverage_inconclusive",
-                                  "coverage_conjectured", "atom",
-                                  "atom_strict", "atom_conjectured",
-                                  "tilde_atom", "tilde_atom_strict"],
-}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def experiment_schema(config):
     """Fixed column list for the configured experiment.  Sweep axes whose
     name already appears among the kind's own columns (slab geometry, say)
     are not duplicated in the prefix."""
-    q = int(config.params.get("q", 2)) if config.kind != "slab-renewal" else 0
-    kind_cols = _KIND_COLUMNS[config.kind](q)
+    kind_cols = []
+    for col in _KINDS[config.kind].columns:
+        if "{i}" in col:
+            q = int(config.params["q"])
+            kind_cols += [col.format(i=i + 1) for i in range(q)]
+        else:
+            kind_cols.append(col)
     axes = [name for name, _ in config.sweep if name not in kind_cols]
     return axes + ["replica", "seed"] + kind_cols + ["error"]
 
@@ -615,37 +650,9 @@ def _summarize(config, point, rows):
     """Aggregates of one sweep point's rows, for the kinds that define them."""
     entry = {name: _point_cell(point[name]) for name, _ in config.sweep}
     rows = [r for r in rows if not r["error"]]
-    if config.kind == "domination" and rows:
-        report = domination_test(
-            {"total_count": [r["wr_total"] for r in rows],
-             "threshold_exceedance": [r["wr_exceed"] for r in rows]},
-            {"total_count": [r["poisson_total"] for r in rows],
-             "threshold_exceedance": [r["poisson_exceed"] for r in rows]},
-            min_samples=1)
-        entry["observables"] = [
-            {"observable": row.observable, "z_score": row.z_score,
-             "sample_mean": row.sample_mean,
-             "reference_mean": row.reference_mean, "passed": row.passed}
-            for row in report.rows]
-        entry["passed"] = report.passed
-    elif config.kind == "slab-renewal" and rows:
-        ncc = np.array([r["n_cc_right"] for r in rows])
-        nonempty = ncc[ncc > 0]
-        if len(nonempty):
-            p_hat = float((nonempty == 1).mean())
-            entry["p_hat"] = p_hat
-            entry["p_stderr"] = math.sqrt(
-                max(p_hat * (1 - p_hat), 0.0) / len(nonempty))
-            entry["inverse_mean_ncc"] = float(1.0 / nonempty.mean())
-            entry["n_nonempty"] = int(len(nonempty))
-    elif config.kind == "fk-compare" and rows:
-        for pipeline in ("fk", "wr"):
-            sel = [r for r in rows if r["pipeline"] == pipeline]
-            if sel:
-                entry[f"{pipeline}_mean_total"] = float(
-                    np.mean([r["total_count"] for r in sel]))
-                entry[f"{pipeline}_poly_rate"] = float(
-                    np.mean([r["polychromatic"] for r in sel]))
+    summarize = _KINDS[config.kind].summarize
+    if summarize and rows:
+        entry.update(summarize(rows))
     return entry
 
 
@@ -659,7 +666,7 @@ def run_experiment(config):
     continues.
     """
     schema = experiment_schema(config)
-    runner = _RUNNERS[config.kind]
+    runner = _KINDS[config.kind].run
     records, summary, states = [], [], {}
     for pi, point in enumerate(sweep_plan(config)):
         base = {name: _point_cell(point[name]) for name, _ in config.sweep}
@@ -710,7 +717,11 @@ def emit_records(records, schema, out_stem, fmt, metadata):
     if fmt == "csv":
         path = f"{out_stem}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            # a "\r\n" terminator makes the writer quote cells holding a
+            # bare "\r" too; each row still ends in "\n"
+            writer = csv.writer(SimpleNamespace(
+                write=lambda row: fh.write(row[:-2] + "\n")),
+                lineterminator="\r\n")
             writer.writerow(schema)
             for record in records:
                 writer.writerow([_format_cell(record.get(k)) for k in schema])

@@ -472,21 +472,14 @@ def condition_summary(law, d, q, q_bar=None, k=None):
     return out
 
 
-_LAW_BUILDERS = {
-    "dirac": lambda s: DiracRadius(s["radius"]),
-    "uniform": lambda s: UniformRadius(s["low"], s["high"]),
-    "exponential": lambda s: ExponentialRadius(s["rate"]),
-    "pareto": lambda s: ParetoRadius(s["alpha"], s["xmin"]),
-    "atom_mixture": lambda s: AtomMixtureRadius(
-        s["p0"], law_from_spec(s["remainder"])),
-}
-
-_LAW_FIELDS = {
-    "dirac": {"radius"},
-    "uniform": {"low", "high"},
-    "exponential": {"rate"},
-    "pareto": {"alpha", "xmin"},
-    "atom_mixture": {"p0", "remainder"},
+# kind -> (record fields besides "kind", builder from the record)
+_LAWS = {
+    "dirac": ({"radius"}, lambda s: DiracRadius(s["radius"])),
+    "uniform": ({"low", "high"}, lambda s: UniformRadius(s["low"], s["high"])),
+    "exponential": ({"rate"}, lambda s: ExponentialRadius(s["rate"])),
+    "pareto": ({"alpha", "xmin"}, lambda s: ParetoRadius(s["alpha"], s["xmin"])),
+    "atom_mixture": ({"p0", "remainder"}, lambda s: AtomMixtureRadius(
+        s["p0"], law_from_spec(s["remainder"]))),
 }
 
 
@@ -497,11 +490,11 @@ def law_from_spec(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"law spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
-    if kind not in _LAW_BUILDERS:
+    if kind not in _LAWS:
         raise ValueError(f"unknown law kind {kind!r}")
     fields = set(spec) - {"kind"}
-    expected = _LAW_FIELDS[kind]
+    expected, build = _LAWS[kind]
     if fields != expected:
         raise ValueError(
             f"law kind {kind!r} takes fields {sorted(expected)}, got {sorted(fields)}")
-    return _LAW_BUILDERS[kind](spec)
+    return build(spec)

@@ -1,7 +1,8 @@
 """Spatial primitives for germ-grain models.
 
-Marked balls, axis-aligned windows, overlap predicates, overlapping-pair
-search on a k-d tree and text dumps.
+Axis-aligned windows, ball configurations as centre and radius arrays, the
+squared-distance kernel behind every closed-ball test, and overlapping-pair
+search on a k-d tree.
 
 Conventions
 -----------
@@ -13,48 +14,10 @@ inequalities; both distinctions sit on Lebesgue-null events.
 All values are immutable after construction and safe to share across threads.
 """
 
-import contextlib
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = [
-    "MarkedPoint",
-    "Window",
-    "Configuration",
-    "balls_overlap",
-    "ball_inside_window",
-    "overlap_pairs",
-    "dump_configuration",
-    "load_configuration",
-]
-
-# one ball per line, >= 12 significant digits (17 round-trips doubles exactly)
-FLOAT_FORMAT = "%.16e"
-
-
-class MarkedPoint:
-    """A closed ball: centre in R^d plus a nonnegative radius."""
-
-    __slots__ = ("center", "radius")
-
-    def __init__(self, center, radius):
-        center = np.asarray(center, dtype=float)
-        if center.ndim != 1 or center.size < 1:
-            raise ValueError("center must be a vector of dimension >= 1")
-        radius = float(radius)
-        if not radius >= 0.0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
-        center.setflags(write=False)
-        self.center = center
-        self.radius = radius
-
-    @property
-    def dimension(self):
-        return self.center.size
-
-    def __repr__(self):
-        return f"MarkedPoint(center={self.center.tolist()}, radius={self.radius})"
+__all__ = ["Window", "Configuration", "overlap_pairs"]
 
 
 class Window:
@@ -138,17 +101,6 @@ class Configuration:
     def empty(cls, d):
         return cls(np.empty((0, d)), np.empty(0))
 
-    @classmethod
-    def from_balls(cls, balls, d=None):
-        balls = list(balls)
-        if not balls:
-            if d is None:
-                raise ValueError("dimension required for an empty ball list")
-            return cls.empty(d)
-        centers = np.stack([b.center for b in balls])
-        radii = np.array([b.radius for b in balls])
-        return cls(centers, radii)
-
     @property
     def dimension(self):
         return self.centers.shape[1]
@@ -156,29 +108,8 @@ class Configuration:
     def __len__(self):
         return self.centers.shape[0]
 
-    def ball(self, i):
-        return MarkedPoint(self.centers[i], self.radii[i])
-
     def __repr__(self):
         return f"Configuration(n={len(self)}, d={self.dimension})"
-
-
-def balls_overlap(a, b):
-    """Closed-ball intersection test: |x_a - x_b| <= r_a + r_b."""
-    if a.center.size != b.center.size:
-        raise ValueError(
-            f"dimension mismatch: {a.center.size} vs {b.center.size}"
-        )
-    gap = a.center - b.center
-    return float(gap @ gap) <= (a.radius + b.radius) ** 2
-
-
-def ball_inside_window(p, w):
-    """True iff the closed ball B(x, r) is contained in the window."""
-    return bool(
-        np.all(p.center - p.radius >= w.lower)
-        and np.all(p.center + p.radius <= w.upper)
-    )
 
 
 def _sq_dist(a, b):
@@ -229,36 +160,3 @@ def overlap_pairs(config):
     i, j = keys // n, keys % n
     keep = _sq_dist(centers[i], centers[j]) <= (radii[i] + radii[j]) ** 2
     return np.stack([i[keep], j[keep]], axis=1)
-
-
-@contextlib.contextmanager
-def _opened(target, mode):
-    """``target`` itself when it is a stream, else the file it names, opened
-    in ``mode`` and closed on exit."""
-    if isinstance(target, (str, bytes)):
-        with open(target, mode) as fh:
-            yield fh
-    else:
-        yield target
-
-
-def dump_configuration(config, dest):
-    """Write one ball per line as ``x_1 ... x_d r`` in full precision."""
-    with _opened(dest, "w") as fh:
-        for i in range(len(config)):
-            cols = [FLOAT_FORMAT % v for v in config.centers[i]]
-            cols.append(FLOAT_FORMAT % config.radii[i])
-            fh.write(" ".join(cols) + "\n")
-
-
-def load_configuration(src, d=None):
-    """Inverse of :func:`dump_configuration`; ``d`` required only when the
-    file may be empty."""
-    with _opened(src, "r") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    if not rows:
-        if d is None:
-            raise ValueError("dimension required to load an empty dump")
-        return Configuration.empty(d)
-    data = np.asarray(rows, dtype=float)
-    return Configuration(data[:, :-1], data[:, -1])

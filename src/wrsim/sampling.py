@@ -30,12 +30,13 @@ with independently seeded generators.  Emitted configurations are immutable
 snapshots, safe to share across threads.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FLOAT_FORMAT, Configuration, Window, _opened, _sq_dist
+from .geometry import Configuration, Window, _sq_dist
 from .components import connected_components
 
 __all__ = [
@@ -52,8 +53,6 @@ __all__ = [
     "authorized_count",
     "WidomRowlinsonChain",
     "RandomClusterChain",
-    "mcmc_wr_run",
-    "mcmc_crcm_run",
     "fk_coloring",
     "effective_sample_size",
     "dump_multitype_configuration",
@@ -176,10 +175,6 @@ class GibbsParams:
                    boundary=boundary)
 
     @property
-    def z_array(self):
-        return np.asarray(self.z)
-
-    @property
     def expected_count(self):
         return float(sum(self.z)) * self.window.volume
 
@@ -199,14 +194,6 @@ def sample_multitype_poisson(params, rng):
     return MultiTypeConfiguration(
         [sample_poisson(params.window, params.z[i], params.laws[i], rng)
          for i in range(params.q)])
-
-
-def _cross_overlap_any(c1, r1, c2, r2):
-    if len(c1) == 0 or len(c2) == 0:
-        return False
-    d2 = _sq_dist(c1[:, None, :], c2[None, :, :])
-    rsum = r1[:, None] + r2[None, :]
-    return bool((d2 <= rsum ** 2).any())
 
 
 def _merge_boundary(mc, boundary_mc):
@@ -239,14 +226,9 @@ def is_authorized(mc, boundary=None):
             raise ValueError(
                 "materialise an ordered boundary with build_boundary() first")
     merged = _merge_boundary(mc, boundary)
-    q = len(merged)
-    for i in range(q):
-        ci, ri = merged[i]
-        for j in range(i + 1, q):
-            cj, rj = merged[j]
-            if _cross_overlap_any(ci, ri, cj, rj):
-                return False
-    return True
+    return not any(_rows_meet(ci[None], ri[None], cj[None], rj[None])[0]
+                   for i, (ci, ri) in enumerate(merged)
+                   for cj, rj in merged[i + 1:])
 
 
 def build_boundary(params, rng):
@@ -254,7 +236,8 @@ def build_boundary(params, rng):
 
     Ordered(i, shell): Poisson draw of colour i on the shell
     (window (+) shell) minus window, keeping only balls whose closed ball
-    reaches the window.  Explicit boundaries are validated and passed
+    reaches the window.  Explicit boundaries are validated (centres outside
+    the window, no two balls of distinct colours overlapping) and passed
     through.  Free (or shell 0) gives an empty boundary.
     """
     b = params.boundary
@@ -267,6 +250,8 @@ def build_boundary(params, rng):
         for cfg in b.outside.configs:
             if len(cfg) and np.any(params.window.contains_points(cfg.centers)):
                 raise ValueError("explicit boundary centers must lie outside the window")
+        if not is_authorized(MultiTypeConfiguration.empty(params.q, d), b.outside):
+            raise ValueError("explicit boundary balls of distinct colours overlap")
         return b.outside
     if b.kind == "ordered":
         if b.shell == 0.0:
@@ -670,21 +655,6 @@ class RandomClusterChain:
         return connected_components(self.state()).n_cc
 
 
-def mcmc_wr_run(params, sweeps, rng):
-    """Run the hard-core birth-death chain from empty; returns the final
-    state after ``sweeps`` sweeps."""
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    return WidomRowlinsonChain(params, rng).run(sweeps).state()
-
-
-def mcmc_crcm_run(window, z, law, q, sweeps, rng):
-    """Run the cluster chain from empty; returns the final configuration."""
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    return RandomClusterChain(window, z, law, q, rng).run(sweeps).state()
-
-
 def fk_coloring(config, q, rng):
     """Colour every component uniformly over {1..q}, i.i.d. across
     components; the output is always authorized and its colour-blind
@@ -729,6 +699,21 @@ def effective_sample_size(series):
         k += 2
     ess = n / (1.0 + 2.0 * s)
     return float(min(max(ess, 1.0), n))
+
+
+# one ball per line, >= 12 significant digits (17 round-trips doubles exactly)
+FLOAT_FORMAT = "%.16e"
+
+
+@contextlib.contextmanager
+def _opened(target, mode):
+    """``target`` itself when it is a stream, else the file it names, opened
+    in ``mode`` and closed on exit."""
+    if isinstance(target, (str, bytes)):
+        with open(target, mode) as fh:
+            yield fh
+    else:
+        yield target
 
 
 def dump_multitype_configuration(mc, dest):

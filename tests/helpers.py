@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
-from wrsim.geometry import Configuration, Window, balls_overlap
+from wrsim.geometry import Configuration, Window
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
                             MultiTypeConfiguration, build_boundary)
 
@@ -41,12 +41,24 @@ def bfs_ncc_oracle(config):
     return count, labels
 
 
+def balls_overlap(a, b):
+    """Closed-ball intersection test on two (centre, radius) pairs:
+    |x_a - x_b| <= r_a + r_b."""
+    (ca, ra), (cb, rb) = a, b
+    ca, cb = np.asarray(ca, dtype=float), np.asarray(cb, dtype=float)
+    if ca.size != cb.size:
+        raise ValueError(f"dimension mismatch: {ca.size} vs {cb.size}")
+    gap = ca - cb
+    return float(gap @ gap) <= (float(ra) + float(rb)) ** 2
+
+
 def all_pairs_oracle(config):
     """Set of index pairs (i, j), i < j, whose closed balls overlap, from
-    :func:`wrsim.geometry.balls_overlap` on every pair."""
+    :func:`balls_overlap` on every pair."""
     n = len(config)
+    c, r = config.centers, config.radii
     return {(i, j) for i in range(n) for j in range(i + 1, n)
-            if balls_overlap(config.ball(i), config.ball(j))}
+            if balls_overlap((c[i], r[i]), (c[j], r[j]))}
 
 
 def shell_boundary(q, window, rng, per_color=3):

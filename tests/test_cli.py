@@ -62,10 +62,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
-    def test_unsweepable_axis(self):
-        raw = base_config(sweep=[{"name": "q", "values": [2, 3]}])
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(raw)
+    @pytest.mark.parametrize("kind", [
+        "wr-sample", "crcm-sample", "fk-compare", "domination", "phase-sweep",
+        "slab-renewal", "entropy-certificate", "condition-check"])
+    def test_unsweepable_axis(self, kind):
+        # q is fixed for the whole run exactly where the columns are per colour
+        law = {"kind": "dirac", "radius": 0.2}
+        params = {
+            "slab-renewal": {"n": 10, "k": 0.5, "d": 2, "z": 1.0, "law": law,
+                             "q_bar": 4.0},
+            "entropy-certificate": {"q": 2, "alpha": [0.5, 0.5],
+                                    "m_side": 4.0, "d": 2, "law": law},
+            "condition-check": {"d": 2, "law": law},
+        }.get(kind, base_config()["params"])
+        raw = base_config(experiment=kind, params=params,
+                          sweep=[{"name": "q", "values": [2, 3]}])
+        if kind in ("wr-sample", "phase-sweep", "fk-compare",
+                    "entropy-certificate"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(raw)
+            assert err.value.problems == [
+                f"sweep[0].name: 'q' is not a sweepable parameter of {kind}"]
+        else:
+            cfg = ExperimentConfig.from_dict(raw)
+            assert len(cfg.inputs) == 2
 
     def test_bad_law_in_one_sweep_point(self):
         raw = base_config(sweep=[{"name": "law", "values": [
@@ -81,9 +101,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="symmetric activities"):
             ExperimentConfig.from_dict(raw)
 
-    def test_unknown_experiment(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(base_config(experiment="nope"))
+    @pytest.mark.parametrize("kind", ["nope", ["wr-sample"]])
+    def test_unknown_experiment(self, kind):
+        with pytest.raises(ConfigError, match="experiment must be one of"):
+            ExperimentConfig.from_dict(base_config(experiment=kind))
 
 
 class TestSweepPlan:
@@ -188,6 +209,13 @@ class TestRunAndEmit:
         rows = [json.loads(line) for line in open(stem + ".jsonl")]
         assert [list(r.keys()) for r in rows] \
             == [experiment_schema(cfg)] * len(rows)
+
+    def test_carriage_return_cell_round_trips(self, tmp_path):
+        stem = str(tmp_path / "cr")
+        emit_records([{"a": "x\ry", "b": "\r"}], ["a", "b"], stem, "csv", {})
+        assert open(stem + ".csv", "rb").read() == b'a,b\n"x\ry","\r"\n'
+        assert load_records(stem + ".csv") == (["a", "b"],
+                                               [{"a": "x\ry", "b": "\r"}])
 
     def test_single_row_field_order(self, tmp_path):
         stem = str(tmp_path / "one")

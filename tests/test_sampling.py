@@ -14,7 +14,7 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             build_boundary, sample_wr_rejection,
                             sample_wr_rejection_many, authorized_count,
                             WidomRowlinsonChain, RandomClusterChain,
-                            mcmc_wr_run, mcmc_crcm_run, fk_coloring,
+                            fk_coloring,
                             effective_sample_size,
                             dump_multitype_configuration,
                             load_multitype_configuration)
@@ -251,10 +251,10 @@ class TestWRChain:
         se = math.sqrt(rej.var() / len(rej) + vals.var() / ess)
         assert abs(rej.mean() - vals.mean()) < 3 * se
 
-    def test_mcmc_wr_run_deterministic(self):
+    def test_run_from_empty_deterministic(self):
         params = GibbsParams.symmetric(2, 0.5, LAW, WINDOW)
-        a = mcmc_wr_run(params, 50, np.random.default_rng(16))
-        b = mcmc_wr_run(params, 50, np.random.default_rng(16))
+        a = WidomRowlinsonChain(params, np.random.default_rng(16)).run(50).state()
+        b = WidomRowlinsonChain(params, np.random.default_rng(16)).run(50).state()
         ca, _ = a.merged()
         cb, _ = b.merged()
         assert np.array_equal(ca.centers, cb.centers)
@@ -373,9 +373,11 @@ class TestCRCMChain:
         se_chain = math.sqrt(vals.var() / effective_sample_size(vals))
         assert abs(vals.mean() - oracle) < 3 * math.hypot(se_oracle, se_chain)
 
-    def test_mcmc_crcm_run_q1_deterministic(self):
-        a = mcmc_crcm_run(WINDOW, 0.8, LAW, 1, 40, np.random.default_rng(25))
-        b = mcmc_crcm_run(WINDOW, 0.8, LAW, 1, 40, np.random.default_rng(25))
+    def test_run_from_empty_q1_deterministic(self):
+        a = RandomClusterChain(WINDOW, 0.8, LAW, 1,
+                               np.random.default_rng(25)).run(40).state()
+        b = RandomClusterChain(WINDOW, 0.8, LAW, 1,
+                               np.random.default_rng(25)).run(40).state()
         assert np.array_equal(a.centers, b.centers)
 
     def test_real_valued_q_allowed(self):
@@ -597,6 +599,18 @@ class TestBoundary:
         with pytest.raises(ValueError):
             build_boundary(params, np.random.default_rng(34))
 
+    def test_explicit_overlapping_colours_rejected(self):
+        # no state is authorized against this boundary, the empty one included
+        bad = MultiTypeConfiguration([
+            Configuration(np.array([[-0.5, 1.0]]), np.array([0.4])),
+            Configuration(np.array([[-0.5, 1.2]]), np.array([0.4]))])
+        params = GibbsParams.symmetric(
+            2, 1.0, LAW, WINDOW, boundary=BoundaryCondition.explicit(bad))
+        with pytest.raises(ValueError, match="distinct colours overlap"):
+            build_boundary(params, np.random.default_rng(34))
+        with pytest.raises(ValueError, match="distinct colours overlap"):
+            WidomRowlinsonChain(params, np.random.default_rng(34))
+
 
 class TestDiagnostics:
     def test_ess_iid(self):
@@ -628,3 +642,16 @@ class TestDumps:
         for a, b in zip(mc.configs, back.configs):
             assert np.array_equal(a.centers, b.centers)
             assert np.array_equal(a.radii, b.radii)
+
+    @pytest.mark.parametrize("n", [0, 40])
+    def test_one_colour_round_trip(self, n):
+        rng = np.random.default_rng(8)
+        cfg = Configuration(rng.random((n, 3)) * 10.0, rng.random(n) * 0.8)
+        buf = io.StringIO()
+        dump_multitype_configuration(MultiTypeConfiguration([cfg]), buf)
+        text = buf.getvalue()
+        assert len(text.splitlines()) == n
+        back = load_multitype_configuration(io.StringIO(text), 1, 3).configs[0]
+        assert back.dimension == 3
+        assert np.array_equal(back.centers, cfg.centers)
+        assert np.array_equal(back.radii, cfg.radii)
