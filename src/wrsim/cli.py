@@ -56,7 +56,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import re
 import sys
 from types import SimpleNamespace
@@ -67,15 +66,17 @@ import numpy as np
 from . import __version__
 from .geometry import Window
 from .distributions import law_from_spec, condition_summary
-from .components import connected_components, crossing_exists, covered_fraction
+from .components import (connected_components, crossing_exists,
+                         covered_fraction, color_census)
 from .sampling import (GibbsParams, BoundaryCondition, WidomRowlinsonChain,
                        RandomClusterChain, MultiTypeConfiguration,
                        sample_multitype_poisson, fk_coloring,
                        effective_sample_size,
                        dump_multitype_configuration, write_run_metadata)
-from .analysis import (EntropyBoundInputs, phi_m, small_z_threshold,
-                       domination_test)
-from .slab import (SlabParams, sample_slab, n_cc_right, reaches_right_edge)
+from .analysis import (EntropyBoundInputs, EstimationError, phi_m,
+                       small_z_threshold, domination_test)
+from .slab import (SlabParams, sample_slab, n_cc_right, reaches_right_edge,
+                   p_from_ncc)
 
 __all__ = [
     "ConfigError",
@@ -342,13 +343,16 @@ def _entropy_from(merged):
     laws = _laws_from(merged["law"], q)
     if len(alpha) != q or len(laws) != q:
         raise ValueError(f"alpha and law must have q = {q} entries")
+    m_side, d = float(merged["m_side"]), int(merged["d"])
     margins = {key: float(merged[key]) for key in ("beta", "gamma", "epsilon")
                if key in merged}
     if len(margins) not in (0, 3):
         raise ValueError("beta, gamma and epsilon must be given together or "
                          "not at all")
-    return (laws, alpha, float(merged["m_side"]), int(merged["d"]),
-            int(merged.get("phi_probes", 20000)), margins)
+    if margins:  # the chain does not involve phi, so check it before sampling
+        EntropyBoundInputs(z=0.0, alpha=alpha, m_side=m_side, d=d,
+                           phi=(0.0,) * q, q=q, **margins).validate_margins()
+    return laws, alpha, m_side, d, int(merged.get("phi_probes", 20000)), margins
 
 
 def _condition_from(merged):
@@ -366,37 +370,40 @@ def _point_cell(value):
 
 # ---------------------------------------------------------------- runners
 
+def _second_half(chain, sweeps, attr):
+    """Run ``sweeps`` sweeps; the chain's ``attr`` after each of the last
+    ``sweeps - sweeps // 2`` (the series behind the ESS column)."""
+    series = []
+    for s in range(sweeps):
+        chain.sweep()
+        if s >= sweeps // 2:
+            series.append(getattr(chain, attr))
+    return series
+
+
+def _geometry_columns(config, window, probes):
+    """The n_cc, crossing (along axis 0) and covered_fraction columns."""
+    labeling = connected_components(config)
+    return {"n_cc": labeling.n_cc,
+            "crossing": int(crossing_exists(labeling, config, window, axis=0)),
+            "covered_fraction": covered_fraction(config, window, probes)}
+
+
 def _wr_chain_rows(cfg, inputs, rng):
     """One WR chain's row; geometry columns only when ``inputs`` carries a
     probe count."""
     params, probes = inputs
-    with_geometry = probes is not None
     chain = WidomRowlinsonChain(params, rng)
-    burn = cfg.sweeps // 2
-    totals = []
-    for s in range(cfg.sweeps):
-        chain.sweep()
-        if s >= burn:
-            totals.append(chain.total_count)
+    totals = _second_half(chain, cfg.sweeps, "total_count")
     state = chain.state()
-    counts = state.counts()
-    total = int(counts.sum())
-    dominant = 1.0 if total == 0 else float(counts.max()) / total
-    mono = int((counts > 0).sum()) <= 1
-    row = {f"count_{i + 1}": int(c) for i, c in enumerate(counts)}
-    row["total_count"] = total
-    if with_geometry:
-        merged_cfg, _ = state.merged()
-        labeling = connected_components(merged_cfg)
-        row["n_cc"] = labeling.n_cc
-        row["crossing"] = int(crossing_exists(labeling, merged_cfg,
-                                              params.window, axis=0))
-        row["covered_fraction"] = covered_fraction(merged_cfg, params.window,
-                                                   probes)
-    row["dominant_fraction"] = dominant
-    row["monochromatic"] = int(mono)
+    census = color_census(state)
+    row = {f"count_{i + 1}": int(c) for i, c in enumerate(census.counts)}
+    row["total_count"] = int(census.counts.sum())
+    row["dominant_fraction"] = census.dominant_fraction
+    row["monochromatic"] = int(census.monochromatic)
     row["acceptance_rate"] = chain.acceptance_rate
-    if with_geometry:
+    if probes is not None:
+        row.update(_geometry_columns(state.merged()[0], params.window, probes))
         row["ess_total"] = effective_sample_size(totals)
     return [row], state
 
@@ -404,22 +411,11 @@ def _wr_chain_rows(cfg, inputs, rng):
 def _run_crcm_sample(cfg, inputs, rng):
     window, z, law, q, probes = inputs
     chain = RandomClusterChain(window, z, law, q, rng)
-    burn = cfg.sweeps // 2
-    counts = []
-    for s in range(cfg.sweeps):
-        chain.sweep()
-        if s >= burn:
-            counts.append(chain.n)
+    counts = _second_half(chain, cfg.sweeps, "n")
     state = chain.state()
-    labeling = connected_components(state)
-    row = {
-        "count": len(state),
-        "n_cc": labeling.n_cc,
-        "crossing": int(crossing_exists(labeling, state, window, axis=0)),
-        "covered_fraction": covered_fraction(state, window, probes),
-        "acceptance_rate": chain.acceptance_rate,
-        "ess_count": effective_sample_size(counts),
-    }
+    row = {"count": len(state), **_geometry_columns(state, window, probes),
+           "acceptance_rate": chain.acceptance_rate,
+           "ess_count": effective_sample_size(counts)}
     return [row], MultiTypeConfiguration([state])
 
 
@@ -433,15 +429,12 @@ def _run_fk_compare(cfg, params, rng):
     wr.run(cfg.sweeps)
     rows = []
     for pipeline, mc in (("fk", colored), ("wr", wr.state())):
-        counts = mc.counts()
-        merged_cfg, _ = mc.merged()
-        rows.append({
-            "pipeline": pipeline,
-            **{f"count_{i + 1}": int(c) for i, c in enumerate(counts)},
-            "total_count": int(counts.sum()),
-            "n_cc": connected_components(merged_cfg).n_cc,
-            "polychromatic": int((counts > 0).sum() > 1),
-        })
+        census = color_census(mc)
+        row = {f"count_{i + 1}": int(c) for i, c in enumerate(census.counts)}
+        rows.append({"pipeline": pipeline, **row,
+                     "total_count": int(census.counts.sum()),
+                     "n_cc": connected_components(mc.merged()[0]).n_cc,
+                     "polychromatic": int(not census.monochromatic)})
     return rows, None
 
 
@@ -536,15 +529,12 @@ def _summarize_domination(rows):
 
 
 def _summarize_slab(rows):
-    ncc = np.array([r["n_cc_right"] for r in rows])
-    nonempty = ncc[ncc > 0]
-    if not len(nonempty):
+    try:
+        est = p_from_ncc([r["n_cc_right"] for r in rows])
+    except EstimationError:  # every replica drew an empty slab
         return {}
-    p_hat = float((nonempty == 1).mean())
-    return {"p_hat": p_hat,
-            "p_stderr": math.sqrt(max(p_hat * (1 - p_hat), 0.0) / len(nonempty)),
-            "inverse_mean_ncc": float(1.0 / nonempty.mean()),
-            "n_nonempty": int(len(nonempty))}
+    return {"p_hat": est.p_hat, "p_stderr": est.stderr,
+            "inverse_mean_ncc": est.inverse_mean, "n_nonempty": est.n_nonempty}
 
 
 def _summarize_fk(rows):
@@ -779,7 +769,7 @@ def _dump_states(config, states, out_stem):
             "experiment": config.kind,
             "point_index": pi,
             "replica": ri,
-            "seed": derive_seed(config.seed, pi, ri),
+            "seed": row["seed"],
             "sweeps": config.sweeps,
         }
         for key in ("acceptance_rate", "ess_total", "ess_count"):
@@ -817,7 +807,7 @@ def main(argv=None):
         return 4
 
     # fail on unwritable output before any sampling happens
-    probe_path = f"{config.out}.csv" if config.fmt == "csv" else f"{config.out}.jsonl"
+    probe_path = f"{config.out}.{config.fmt}"
     try:
         with open(probe_path, "w"):
             pass

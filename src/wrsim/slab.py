@@ -14,11 +14,13 @@ a fixed probability p, independently of the past, so
     P(N = a) = p (1 - p)^(a - 1),   E N = 1/p,
     E s^N = s p / (1 - s (1 - p))   finite iff p > 1 - 1/s.
 
-``estimate_p`` measures p two ways (frequency of N = 1, inverse mean of N)
-that must agree when the renewal picture holds.  A finite slab stands in for
-the infinite one: a component is classified infinite-for-the-experiment iff
-its shadow reaches the right edge n, with the sensitivity of that call
-reported at n and n/2.
+One sorted interval pass (``merged_intervals``) backs both the component
+count ``n_cc_right`` and ``coverage_gap``.  ``p_from_ncc`` measures p two
+ways (frequency of N = 1, inverse mean of N) that must agree when the
+renewal picture holds; ``estimate_p`` and the ``slab-renewal`` summary both
+use it.  A finite slab stands in for the infinite one: a component is
+classified infinite-for-the-experiment iff the largest shadow end reaches
+the right edge n, with the sensitivity of that call reported at n and n/2.
 """
 
 import math
@@ -36,12 +38,13 @@ __all__ = [
     "PEstimate",
     "MomentCheckReport",
     "transformed_radius",
-    "right_segments",
+    "merged_intervals",
     "n_cc_right",
     "coverage_gap",
     "right_covered",
     "reaches_right_edge",
     "slab_ncc_samples",
+    "p_from_ncc",
     "estimate_p",
     "geometric_moment",
     "tilted_moment_diagnostic",
@@ -88,10 +91,6 @@ class SlabParams:
         return Window(lower, upper)
 
     @property
-    def shift(self):
-        return (self.d - 1) * self.k ** 2
-
-    @property
     def projected_rate(self):
         """Rate of the 1D process of segment left endpoints obtained by
         projecting the slab Poisson process onto the axis: z * k^(d-1)."""
@@ -113,61 +112,37 @@ def transformed_radius(r, k, d):
     return float(out) if out.ndim == 0 else out
 
 
-def right_segments(config, params):
-    """Sorted (starts, ends) of the axis shadows [x_1, x_1 + rt]."""
+def merged_intervals(config, params):
+    """Disjoint closed intervals [lo, hi], sorted, forming the union of the
+    axis shadows [x_1, x_1 + rt]; touching shadows merge.  The one sort and
+    sweep behind n_cc_right and coverage_gap."""
     if len(config) == 0:
-        return np.empty(0), np.empty(0)
+        return np.empty((0, 2))
     starts = config.centers[:, 0]
-    lengths = transformed_radius(config.radii, params.k, params.d)
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
-    ends = (starts + lengths[order])
-    return starts, ends
-
-
-def _component_breaks(starts, ends):
-    """Boolean mask marking segments (in sorted order) that open a new
-    component of the closed-interval union."""
-    reach = np.maximum.accumulate(ends)
-    breaks = np.empty(len(starts), dtype=bool)
-    breaks[0] = True
-    breaks[1:] = starts[1:] > reach[:-1]  # strict: touching intervals merge
-    return breaks
+    lengths = transformed_radius(config.radii, params.k, params.d)
+    reach = np.maximum.accumulate(starts + lengths[order])
+    # strict: a shadow starting exactly at the reach so far joins it
+    opens = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
+    return np.stack([starts[opens], np.append(reach[opens[1:] - 1], reach[-1])],
+                    axis=1)
 
 
 def n_cc_right(config, params):
     """Number of components of the union of rightward shadows; 0 if empty."""
-    starts, ends = right_segments(config, params)
-    if len(starts) == 0:
-        return 0
-    return int(_component_breaks(starts, ends).sum())
-
-
-def merged_intervals(config, params):
-    """Disjoint sorted closed intervals forming the shadow union."""
-    starts, ends = right_segments(config, params)
-    if len(starts) == 0:
-        return np.empty((0, 2))
-    breaks = _component_breaks(starts, ends)
-    reach = np.maximum.accumulate(ends)
-    idx = np.nonzero(breaks)[0]
-    lo = starts[idx]
-    hi = np.append(reach[idx[1:] - 1], reach[-1])
-    return np.stack([lo, hi], axis=1)
+    return len(merged_intervals(config, params))
 
 
 def coverage_gap(config, y, params):
     """Left endpoint of the first uncovered gap of [y, n], or None when
-    [y, n] is fully inside the shadow union."""
+    [y, n] is fully inside the shadow union.  The cover reaches the end of
+    the last interval starting at or before y, or stays at y."""
     if not 0.0 <= y <= params.n:
         raise ValueError("y must lie in [0, n]")
-    cover = y
-    for lo, hi in merged_intervals(config, params):
-        if lo > cover:
-            break
-        cover = max(cover, hi)
-        if cover >= params.n:
-            return None
+    intervals = merged_intervals(config, params)
+    i = int(np.searchsorted(intervals[:, 0], y, side="right")) - 1
+    cover = max(y, float(intervals[i, 1])) if i >= 0 else y
     return None if cover >= params.n else cover
 
 
@@ -178,11 +153,14 @@ def right_covered(config, y, params):
 
 
 def reaches_right_edge(config, params, edge=None):
-    """True iff some shadow component reaches the given edge (default n);
+    """True iff the largest shadow end reaches the given edge (default n);
     the finite-slab stand-in for an infinite component."""
     edge = params.n if edge is None else edge
-    intervals = merged_intervals(config, params)
-    return bool(len(intervals)) and bool((intervals[:, 1] >= edge).any())
+    if len(config) == 0:
+        return False
+    ends = config.centers[:, 0] + transformed_radius(config.radii, params.k,
+                                                     params.d)
+    return bool(ends.max() >= edge)
 
 
 @dataclass(frozen=True)
@@ -212,13 +190,11 @@ def slab_ncc_samples(params, replicas, rng):
     return out
 
 
-def estimate_p(params, replicas, rng):
-    """Estimate p = P(single rightward component) from ``replicas`` slab
-    draws (empty draws excluded); binomial standard error, plus
-    1/mean(N_cc^r) as the geometric-law cross-estimator."""
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    ncc = slab_ncc_samples(params, replicas, rng)
+def p_from_ncc(ncc):
+    """Renewal estimate from per-replica rightward component counts: the
+    frequency of N = 1 among nonempty samples with its binomial standard
+    error, plus 1/mean(N) as the geometric-law cross-estimator."""
+    ncc = np.asarray(ncc)
     nonempty = ncc[ncc > 0]
     if len(nonempty) == 0:
         raise EstimationError("every slab sample was empty; raise z or n")
@@ -227,11 +203,17 @@ def estimate_p(params, replicas, rng):
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / m)
     mean_ncc = float(nonempty.mean())
     se_mean = float(nonempty.std(ddof=1)) / math.sqrt(m) if m > 1 else 0.0
-    inv_mean = 1.0 / mean_ncc
-    inv_se = se_mean / mean_ncc ** 2
-    return PEstimate(p_hat=p_hat, stderr=stderr, inverse_mean=inv_mean,
-                     inverse_mean_stderr=inv_se, mean_ncc=mean_ncc,
-                     n_nonempty=m, replicas=replicas)
+    return PEstimate(p_hat=p_hat, stderr=stderr, inverse_mean=1.0 / mean_ncc,
+                     inverse_mean_stderr=se_mean / mean_ncc ** 2,
+                     mean_ncc=mean_ncc, n_nonempty=m, replicas=len(ncc))
+
+
+def estimate_p(params, replicas, rng):
+    """:func:`p_from_ncc` on ``replicas`` (at least 100) independent slab
+    draws."""
+    if replicas < 100:
+        raise ValueError("need at least 100 replicas")
+    return p_from_ncc(slab_ncc_samples(params, replicas, rng))
 
 
 def geometric_moment(s_bar, p):

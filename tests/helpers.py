@@ -191,6 +191,21 @@ def interval_bfs_oracle(starts, lengths):
     return count
 
 
+def interval_cover_oracle(starts, lengths, y):
+    """Right end of the covered run starting at y in a union of closed
+    intervals [s, s + l]: extend ``cover`` to max(e) over the intervals with
+    s <= cover <= e until it stops changing (no sorting)."""
+    starts = np.asarray(starts, dtype=float)
+    ends = starts + np.asarray(lengths, dtype=float)
+    cover = y
+    while True:
+        hit = (starts <= cover) & (cover <= ends)
+        reach = max(cover, float(ends[hit].max())) if hit.any() else cover
+        if reach == cover:
+            return cover
+        cover = reach
+
+
 def moment_quadrature_oracle(law, d):
     """Numeric verdict on int r^d dQ = int d t^(d-1) S(t) dt via doubling
     cutoffs: vanishing tail contributions mean finite, persistent ones mean

@@ -8,6 +8,7 @@ from wrsim.cli import (ConfigError, ExperimentConfig, derive_seed, sweep_plan,
                        run_experiment, emit_records, load_records,
                        experiment_schema, main)
 from wrsim.sampling import load_multitype_configuration
+from wrsim.slab import p_from_ncc
 
 
 def base_config(**over):
@@ -391,13 +392,14 @@ class TestConditionCheckKind:
 
 class TestFailureHandling:
     def test_runtime_failure_flags_row(self):
-        # alpha = (1, 0) passes config validation but Psi'(0) >= 0, so the
+        # the margins satisfy the constraint chain, but a radius-2 ball never
+        # fits in the 4-tile, so phi = 0, Psi'(0) = max(alpha) >= 0 and the
         # certificate search fails at run time
         cfg = ExperimentConfig.from_dict({
             "experiment": "entropy-certificate",
             "seed": 5,
-            "params": {"q": 2, "alpha": [1.0, 0.0], "m_side": 4.0, "d": 2,
-                       "law": {"kind": "dirac", "radius": 1.0},
+            "params": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0, "d": 2,
+                       "law": {"kind": "dirac", "radius": 2.0},
                        "beta": 0.95, "gamma": 0.1, "epsilon": 0.2},
         })
         records, _, _ = run_experiment(cfg)
@@ -475,6 +477,40 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert "beta, gamma and epsilon" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "bad.csv")
+
+    def test_exit_two_on_chain_violating_margins(self, tmp_path, capsys):
+        # all three margins given, but gamma = 0.3 is not below
+        # 1 - epsilon - max(alpha) = 0.05
+        raw = {"experiment": "entropy-certificate", "seed": 5,
+               "out": str(tmp_path / "bad"),
+               "params": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0, "d": 2,
+                          "law": {"kind": "dirac", "radius": 0.5},
+                          "beta": 0.95, "gamma": 0.3, "epsilon": 0.45}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert "constraint chain" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
+
+    def test_slab_renewal_all_empty_point(self, tmp_path):
+        # at z = 1e-9 every replica draws an empty slab: that point's summary
+        # holds only its sweep cell, and the run still succeeds
+        raw = {"experiment": "slab-renewal", "seed": 5, "replicas": 40,
+               "out": str(tmp_path / "slab"),
+               "params": {"n": 20, "k": 0.5, "d": 2, "z": 4.0,
+                          "law": {"kind": "pareto", "alpha": 0.7, "xmin": 0.3}},
+               "sweep": [{"name": "z", "values": [1e-9, 4.0, 8.0]}]}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        _, rows = load_records(str(tmp_path / "slab.csv"))
+        points = json.loads(
+            (tmp_path / "slab.meta.json").read_text())["summary"]["points"]
+        assert points[0] == {"z": 1e-9}
+        assert all(r["n_cc_right"] == 0 for r in rows if r["z"] == 1e-9)
+        for point in points[1:]:
+            est = p_from_ncc([r["n_cc_right"] for r in rows
+                              if r["z"] == point["z"]])
+            assert point == {"z": point["z"], "p_hat": est.p_hat,
+                             "p_stderr": est.stderr,
+                             "inverse_mean_ncc": est.inverse_mean,
+                             "n_nonempty": est.n_nonempty}
 
     def test_exit_two_without_out(self, tmp_path):
         path = self.write_config(tmp_path, base_config())

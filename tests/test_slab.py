@@ -9,10 +9,10 @@ from wrsim.distributions import DiracRadius, UniformRadius, ParetoRadius
 from wrsim.components import connected_components
 from wrsim.sampling import sample_poisson
 from wrsim.analysis import EstimationError
-from wrsim.slab import (SlabParams, transformed_radius, right_segments,
-                        n_cc_right, merged_intervals, coverage_gap,
-                        right_covered, reaches_right_edge, sample_slab,
-                        slab_ncc_samples, estimate_p, geometric_moment,
+from wrsim.slab import (SlabParams, transformed_radius, n_cc_right,
+                        merged_intervals, coverage_gap, right_covered,
+                        reaches_right_edge, sample_slab, slab_ncc_samples,
+                        estimate_p, p_from_ncc, geometric_moment,
                         tilted_moment_diagnostic, segment_model_1d,
                         crcm_ncc_moment_check)
 
