@@ -13,7 +13,7 @@ from .components import (connected_components, crossing_exists,
                          covered_fraction, color_census)
 from .sampling import (MultiTypeConfiguration, BoundaryCondition, GibbsParams,
                        sample_poisson, sample_multitype_poisson, is_authorized,
-                       sample_wr_rejection, fk_coloring, build_boundary,
+                       fk_coloring, build_boundary,
                        WidomRowlinsonChain, RandomClusterChain,
                        effective_sample_size)
 from .analysis import (EntropyBoundInputs, phi_m, psi_eval,

@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 
+_Z_TOL = 1e-10  # relative width at which the z* bisection stops
+_MAX_DOUBLINGS = 200  # bracket doublings before Psi counts as never positive
+_Z_TOLERANCE = 3.0  # combined standard errors a domination row may exceed by
+
+
 class CertificateError(RuntimeError):
     """No polychromaticity certificate is available for these inputs."""
 
@@ -66,13 +71,12 @@ class EstimationError(RuntimeError):
 class EntropyBoundInputs:
     """Inputs of the entropy comparison.
 
-    alpha must be a probability vector over the q colours; phi the per-colour
-    tile fit probabilities.  The margins must satisfy the chain
+    alpha must be a probability vector over the q = len(alpha) colours; phi
+    the per-colour tile fit probabilities.  The margins must satisfy the chain
     0 < epsilon < 1 - max(alpha), 0 < gamma < 1 - epsilon - max(alpha) and
     epsilon + max(alpha) <= beta (1 - gamma) with beta < 1.
     """
 
-    z: float
     alpha: tuple
     beta: float
     gamma: float
@@ -80,20 +84,23 @@ class EntropyBoundInputs:
     m_side: float
     d: int
     phi: tuple
-    q: int
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "phi", tuple(float(p) for p in self.phi))
         alpha = np.asarray(self.alpha)
-        if len(alpha) != self.q or len(self.phi) != self.q:
-            raise ValueError("alpha and phi must have length q")
+        if len(self.phi) != len(alpha):
+            raise ValueError("alpha and phi must have the same length")
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-9:
             raise ValueError("alpha must be a probability vector")
         if any(not 0.0 <= p <= 1.0 for p in self.phi):
             raise ValueError("phi entries must lie in [0, 1]")
-        if self.m_side <= 0 or self.d < 1 or self.q < 1 or self.z < 0:
-            raise ValueError("invalid tile geometry or activity")
+        if self.m_side <= 0 or self.d < 1:
+            raise ValueError("invalid tile geometry")
+
+    @property
+    def q(self):
+        return len(self.alpha)
 
     @property
     def alpha_max(self):
@@ -118,7 +125,7 @@ class EntropyBoundInputs:
                 f"alpha_max={self.alpha_max})")
 
     @classmethod
-    def with_default_margins(cls, z, alpha, m_side, d, phi):
+    def with_default_margins(cls, alpha, m_side, d, phi):
         """Deterministic margins derived from alpha_max:
         epsilon = (1 - a)/2, gamma = (1 - epsilon - a)/2, and beta midway
         between (epsilon + a)/(1 - gamma) and 1."""
@@ -128,9 +135,8 @@ class EntropyBoundInputs:
         epsilon = (1.0 - a) / 2.0
         gamma = (1.0 - epsilon - a) / 2.0
         beta = 0.5 * ((epsilon + a) / (1.0 - gamma) + 1.0)
-        return cls(z=z, alpha=tuple(alpha), beta=beta, gamma=gamma,
-                   epsilon=epsilon, m_side=m_side, d=d, phi=tuple(phi),
-                   q=len(alpha))
+        return cls(alpha=tuple(alpha), beta=beta, gamma=gamma,
+                   epsilon=epsilon, m_side=m_side, d=d, phi=tuple(phi))
 
 
 @dataclass(frozen=True)
@@ -180,13 +186,11 @@ def phi_m(law, m_side, d, probes=20000, rng=None, method="auto"):
     """
     if m_side <= 0:
         raise ValueError("m_side must be positive")
-    if method not in ("auto", "mc", "exact"):
+    if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "exact") and isinstance(law, DiracRadius):
+    if method == "auto" and isinstance(law, DiracRadius):
         frac = max(0.0, (m_side - 2.0 * law.radius) / m_side)
         return frac ** d, 0.0
-    if method == "exact":
-        raise ValueError("closed form only available for Dirac radii")
     if rng is None:
         raise ValueError("Monte Carlo path needs a generator")
     x = rng.random((probes, d)) * m_side
@@ -261,7 +265,7 @@ def entropy_upper_estimate(params, replicas, rng):
                            replicas=replicas)
 
 
-def small_z_threshold(inputs, tol=1e-10, max_doublings=200):
+def small_z_threshold(inputs):
     """Largest z* such that Psi(z) < 0 on (0, z*), found by bracketing the
     first positive root of Psi and bisecting.
 
@@ -275,14 +279,14 @@ def small_z_threshold(inputs, tol=1e-10, max_doublings=200):
         raise CertificateError(
             f"Psi'(0) = {d0:.6g} >= 0: no certified polychromatic interval")
     lo, hi = 0.0, 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         val, _ = psi_eval(inputs, hi)
         if val > 0.0:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise CertificateError("Psi stayed negative up to the doubling cap")
-    while hi - lo > tol * max(hi, 1.0):
+    while hi - lo > _Z_TOL * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         val, _ = psi_eval(inputs, mid)
         if val < 0.0:
@@ -298,10 +302,9 @@ def small_z_threshold(inputs, tol=1e-10, max_doublings=200):
                                 margin=-psi_c)
 
 
-def domination_test(sample_values, reference_values, min_samples=100,
-                    z_tolerance=3.0):
+def domination_test(sample_values, reference_values, min_samples=100):
     """One-sided comparison of increasing observables: the hard-core stream
-    must not exceed the Poisson reference beyond ``z_tolerance`` combined
+    must not exceed the Poisson reference by more than three combined
     standard errors on any observable.
 
     Both inputs map observable name -> array of per-sample values.
@@ -324,5 +327,5 @@ def domination_test(sample_values, reference_values, min_samples=100,
         rows.append(DominationRow(
             observable=name, sample_mean=float(xs.mean()), sample_se=se_x,
             reference_mean=float(ys.mean()), reference_se=se_y,
-            z_score=z, passed=z <= z_tolerance))
+            z_score=z, passed=z <= _Z_TOLERANCE))
     return DominationReport(rows=tuple(rows), passed=all(r.passed for r in rows))

@@ -54,6 +54,7 @@ output byte except the tool-version metadata field.  Exit codes: 0 success,
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import re
@@ -343,16 +344,21 @@ def _entropy_from(merged):
     laws = _laws_from(merged["law"], q)
     if len(alpha) != q or len(laws) != q:
         raise ValueError(f"alpha and law must have q = {q} entries")
-    m_side, d = float(merged["m_side"]), int(merged["d"])
     margins = {key: float(merged[key]) for key in ("beta", "gamma", "epsilon")
                if key in merged}
     if len(margins) not in (0, 3):
         raise ValueError("beta, gamma and epsilon must be given together or "
                          "not at all")
-    if margins:  # the chain does not involve phi, so check it before sampling
-        EntropyBoundInputs(z=0.0, alpha=alpha, m_side=m_side, d=d,
-                           phi=(0.0,) * q, q=q, **margins).validate_margins()
-    return laws, alpha, m_side, d, int(merged.get("phi_probes", 20000)), margins
+    # nothing here involves phi, so the inputs are checked before sampling
+    # with placeholder phi values; the runner puts the sampled ones in
+    tile = {"alpha": alpha, "m_side": float(merged["m_side"]),
+            "d": int(merged["d"]), "phi": (0.0,) * q}
+    if margins:
+        inputs = EntropyBoundInputs(**tile, **margins)
+        inputs.validate_margins()
+    else:
+        inputs = EntropyBoundInputs.with_default_margins(**tile)
+    return laws, inputs, int(merged.get("phi_probes", 20000))
 
 
 def _condition_from(merged):
@@ -472,17 +478,12 @@ def _run_slab_renewal(cfg, inputs, rng):
 
 
 def _run_entropy_certificate(cfg, inputs, rng):
-    laws, alpha, m_side, d, probes, margins = inputs
-    q = len(alpha)
-    phi = tuple(phi_m(l, m_side, d, probes=probes, rng=rng)[0] for l in laws)
-    if margins:
-        inputs = EntropyBoundInputs(z=0.0, alpha=alpha, m_side=m_side, d=d,
-                                    phi=phi, q=q, **margins)
-    else:
-        inputs = EntropyBoundInputs.with_default_margins(
-            0.0, alpha, m_side, d, phi)
+    laws, inputs, probes = inputs
+    phi = tuple(phi_m(l, inputs.m_side, inputs.d, probes=probes, rng=rng)[0]
+                for l in laws)
+    inputs = dataclasses.replace(inputs, phi=phi)
     cert = small_z_threshold(inputs)
-    row = {f"phi_{i + 1}": phi[i] for i in range(q)}
+    row = {f"phi_{i + 1}": p for i, p in enumerate(phi)}
     row.update({
         "beta": inputs.beta, "gamma": inputs.gamma, "epsilon": inputs.epsilon,
         "z_star": cert.z_star, "psi_at_z": cert.psi_at_z,
@@ -493,21 +494,10 @@ def _run_entropy_certificate(cfg, inputs, rng):
 
 def _run_condition_check(cfg, inputs, rng):
     law, d, q, q_bar, k = inputs
+    # the tilde_atom columns stay empty unless q_bar and k are both given
     summary = condition_summary(law, d, q, q_bar=q_bar, k=k)
-    row = {
-        "integrable": int(summary["integrable"]),
-        "moment": float(summary["moment"]),
-        "coverage_condition": int(summary["coverage_condition"]),
-        "coverage_method": summary["coverage_method"],
-        "coverage_inconclusive": int(summary["coverage_inconclusive"]),
-        "coverage_conjectured": int(summary["coverage_conjectured"]),
-        "atom": float(summary["atom"]),
-        "atom_strict": int(summary["atom_strict"]),
-        "atom_conjectured": int(summary["atom_conjectured"]),
-    }
-    if "tilde_atom" in summary:  # only when q_bar and k are both given
-        row["tilde_atom"] = float(summary["tilde_atom"])
-        row["tilde_atom_strict"] = int(summary["tilde_atom_strict"])
+    row = {key: int(value) if isinstance(value, bool) else value
+           for key, value in summary.items()}
     return [row], None
 
 

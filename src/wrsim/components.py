@@ -46,7 +46,6 @@ class ColorCensus:
     counts: np.ndarray
     monochromatic: bool
     dominant_fraction: float
-    covered: np.ndarray | None = None
 
 
 def connected_components(config):
@@ -166,9 +165,9 @@ def covered_fraction(config, window, probes=2048):
     return float(covered.mean())
 
 
-def color_census(mc, window=None, probes=2048):
-    """Per-colour counts (and coverage when a window is given) plus the
-    monochromatic flag.
+def color_census(mc):
+    """Per-colour counts, the dominant colour's share and the monochromatic
+    flag.
 
     Empty multi-type configurations count as monochromatic, with dominant
     fraction 1 by convention.
@@ -177,9 +176,5 @@ def color_census(mc, window=None, probes=2048):
     total = int(counts.sum())
     mono = int((counts > 0).sum()) <= 1
     dominant = 1.0 if total == 0 else float(counts.max()) / total
-    covered = None
-    if window is not None:
-        covered = np.array(
-            [covered_fraction(c, window, probes) for c in mc.configs])
     return ColorCensus(counts=counts, monochromatic=mono,
-                       dominant_fraction=dominant, covered=covered)
+                       dominant_fraction=dominant)

@@ -339,24 +339,20 @@ class IntegrabilityReport:
     integrable: bool
     moment: float
 
-    @property
-    def classification(self):
-        return "integrable" if self.integrable else "non-integrable"
-
 
 @dataclass(frozen=True)
 class CoverageReport:
     """Convergence verdict for int_1^oo exp(-int_1^u Q(]r,oo[) dr) du.
 
     ``converges`` is the verdict (False when inconclusive), ``estimate`` the
-    value of the outer integral up to ``cutoff`` (inf marks detected
-    divergence on the analytic path).  Truthiness equals ``converges``.
+    value of the outer integral up to the cutoff u = 10^6 (inf marks
+    detected divergence on the analytic path).  Truthiness equals
+    ``converges``.
     """
 
     converges: bool
     method: str
     estimate: float
-    cutoff: float
     inconclusive: bool = False
 
     def __bool__(self):
@@ -371,7 +367,10 @@ def classify_integrability(law, d):
     return IntegrabilityReport(d=d, integrable=m != math.inf, moment=m)
 
 
-def _coverage_quadrature(law, cutoff):
+_COVERAGE_CUTOFF = 1e6  # upper end u of the coverage quadrature
+
+
+def _coverage_quadrature(law):
     """Numeric fallback: integrate exp(-I(u)) on doubling cutoffs and decide
     from the decay of the increments.
 
@@ -379,6 +378,7 @@ def _coverage_quadrature(law, cutoff):
     vanishing tail (convergent); a ratio >= 1.25 means the integrand has
     stopped decaying (divergent); anything between is flagged inconclusive.
     """
+    cutoff = _COVERAGE_CUTOFF
     cutoffs = [cutoff / 8, cutoff / 4, cutoff / 2, cutoff]
     grid = np.concatenate([[1.0], np.geomspace(1.0 + 1e-9, cutoff, 6000)])
     surv = np.asarray(law.survival(grid), dtype=float)
@@ -390,42 +390,37 @@ def _coverage_quadrature(law, cutoff):
     totals = [float(np.interp(c, grid, outer)) for c in cutoffs]
     increments = np.diff(totals)
     if np.all(increments <= 1e-12):
-        return CoverageReport(True, "quadrature", totals[-1], cutoff)
+        return CoverageReport(True, "quadrature", totals[-1])
     ratio = increments[-1] / max(increments[-2], 1e-300)
     if ratio <= 0.8:
         tail = increments[-1] * ratio / (1.0 - ratio)
-        return CoverageReport(True, "quadrature", totals[-1] + tail, cutoff)
+        return CoverageReport(True, "quadrature", totals[-1] + tail)
     if ratio >= 1.25:
-        return CoverageReport(False, "quadrature", totals[-1], cutoff)
-    return CoverageReport(False, "quadrature", totals[-1], cutoff,
-                          inconclusive=True)
+        return CoverageReport(False, "quadrature", totals[-1])
+    return CoverageReport(False, "quadrature", totals[-1], inconclusive=True)
 
 
-def check_coverage_condition(law, method="auto", cutoff=1e6):
+def check_coverage_condition(law, method="auto"):
     """Does ``int_1^oo exp(-int_1^u Q(]r,oo[) dr) du`` converge?
 
-    Analytic where the family's tail growth class settles it, otherwise the
-    doubling quadrature fallback; a quadrature verdict that cannot be told
-    apart from slow convergence at the cutoff comes back flagged
-    ``inconclusive`` rather than silently decided.
+    Analytic where the family's tail growth class settles it (``"auto"``),
+    otherwise, or with ``method="quadrature"``, the doubling quadrature
+    fallback; a quadrature verdict that cannot be told apart from slow
+    convergence at the cutoff comes back flagged ``inconclusive`` rather
+    than silently decided.
     """
-    if method not in ("auto", "analytic", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "analytic"):
+    if method == "auto":
         cls, coef = law.tail_growth()
         if cls == _TAIL_FINITE:
-            return CoverageReport(False, "analytic", math.inf, cutoff)
-        if cls == _TAIL_SUPERLOG:
-            est = _coverage_quadrature(law, cutoff).estimate
-            return CoverageReport(True, "analytic", est, cutoff)
+            return CoverageReport(False, "analytic", math.inf)
+        if cls == _TAIL_SUPERLOG or (cls == _TAIL_LOG and coef > 1.0):
+            est = _coverage_quadrature(law).estimate
+            return CoverageReport(True, "analytic", est)
         if cls == _TAIL_LOG:
-            if coef > 1.0:
-                est = _coverage_quadrature(law, cutoff).estimate
-                return CoverageReport(True, "analytic", est, cutoff)
-            return CoverageReport(False, "analytic", math.inf, cutoff)
-        if method == "analytic":
-            raise ValueError(f"no analytic rule for {law!r}")
-    return _coverage_quadrature(law, cutoff)
+            return CoverageReport(False, "analytic", math.inf)
+    return _coverage_quadrature(law)
 
 
 def q_tilde_transform(law, k, d):

@@ -38,9 +38,8 @@ class Window:
         self.upper = upper
 
     @classmethod
-    def cube(cls, side, d, origin=0.0):
-        lo = np.full(d, float(origin))
-        return cls(lo, lo + float(side))
+    def cube(cls, side, d):
+        return cls(np.zeros(d), np.full(d, float(side)))
 
     @property
     def dimension(self):

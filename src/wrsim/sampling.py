@@ -48,7 +48,6 @@ __all__ = [
     "sample_multitype_poisson",
     "is_authorized",
     "build_boundary",
-    "sample_wr_rejection",
     "sample_wr_rejection_many",
     "authorized_count",
     "WidomRowlinsonChain",
@@ -60,6 +59,7 @@ __all__ = [
     "write_run_metadata",
 ]
 
+_BATCH = 8192  # multi-type Poisson draws per vectorised rejection round
 _AUTH_CHUNK = 512  # rejection rows tested together, bounding the pair arrays
 
 
@@ -213,18 +213,9 @@ def is_authorized(mc, boundary=None):
     """True iff no two balls of distinct colours overlap (boundary balls are
     merged into their colours; same-colour overlap never disqualifies).
 
-    ``boundary`` may be a materialised outside configuration, a free or
-    explicit :class:`BoundaryCondition`, or None.  Ordered conditions must be
-    materialised first (:func:`build_boundary`) since they are random.
+    ``boundary`` is a materialised outside configuration
+    (:func:`build_boundary`) or None.
     """
-    if isinstance(boundary, BoundaryCondition):
-        if boundary.kind == "free":
-            boundary = None
-        elif boundary.kind == "explicit":
-            boundary = boundary.outside
-        else:
-            raise ValueError(
-                "materialise an ordered boundary with build_boundary() first")
     merged = _merge_boundary(mc, boundary)
     return not any(_rows_meet(ci[None], ri[None], cj[None], rj[None])[0]
                    for i, (ci, ri) in enumerate(merged)
@@ -271,28 +262,6 @@ def build_boundary(params, rng):
         configs[i] = shell_cfg
         return MultiTypeConfiguration(configs)
     raise ValueError(f"unknown boundary kind {b.kind!r}")
-
-
-def sample_wr_rejection(params, rng, max_attempts=100000, boundary_mc=None):
-    """First authorized multi-type Poisson draw, via plain rejection.
-
-    Returns (configuration, attempts used).  The acceptance frequency is an
-    unbiased estimate of the partition function Z given the boundary.  Raises
-    :class:`RejectionBudgetError` when the budget runs out.
-
-    For ordered boundaries a fresh shell is drawn per call unless
-    ``boundary_mc`` pins one; pass it explicitly to condition several draws
-    on the same boundary.
-    """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    if boundary_mc is None:
-        boundary_mc = build_boundary(params, rng)
-    for attempt in range(1, max_attempts + 1):
-        mc = sample_multitype_poisson(params, rng)
-        if is_authorized(mc, boundary_mc):
-            return mc, attempt
-    raise RejectionBudgetError(max_attempts)
 
 
 def _batch_authorized(params, batch, rng, boundary_mc):
@@ -346,43 +315,45 @@ def _extract_mc(params, counts, centers, radii, row):
     return MultiTypeConfiguration(configs)
 
 
+def _rejection_rounds(params, attempts, rng, batch):
+    """Successive :func:`_batch_authorized` rounds of at most ``batch``
+    draws, ``attempts`` draws in all, against one boundary drawn first."""
+    boundary_mc = build_boundary(params, rng)
+    for done in range(0, attempts, batch):
+        yield _batch_authorized(params, min(batch, attempts - done), rng,
+                                boundary_mc)
+
+
 def sample_wr_rejection_many(params, n_samples, rng, max_attempts=10 ** 8,
-                             batch=8192):
+                             batch=_BATCH):
     """Vectorised rejection sampler: ``n_samples`` i.i.d. authorized draws.
 
-    Returns (samples, attempts used).  Same law as repeated
-    :func:`sample_wr_rejection`, orders of magnitude faster when Z is small.
+    Returns (samples, attempts used); the acceptance frequency is an
+    unbiased estimate of the partition function Z given the boundary.  All
+    draws share one boundary (a fresh shell per call for ordered
+    boundaries).  With ``batch=1`` each attempt draws the colours one after
+    the other, exactly as a one-at-a-time rejection loop would.  Raises
+    :class:`RejectionBudgetError` when the budget runs out.
     """
-    boundary_mc = build_boundary(params, rng)
-    samples = []
-    attempts = 0
-    while len(samples) < n_samples:
-        if attempts >= max_attempts:
-            raise RejectionBudgetError(attempts)
-        b = int(min(batch, max_attempts - attempts))
-        counts, centers, radii, ok = _batch_authorized(params, b, rng, boundary_mc)
-        taken_through = b
-        for row in np.nonzero(ok)[0]:
-            samples.append(_extract_mc(params, counts, centers, radii, int(row)))
-            if len(samples) == n_samples:
-                taken_through = int(row) + 1
-                break
-        attempts += taken_through
-    return samples, attempts
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    samples, attempts = [], 0
+    for counts, centers, radii, ok in _rejection_rounds(params, max_attempts,
+                                                        rng, batch):
+        rows = np.flatnonzero(ok)[:n_samples - len(samples)]
+        samples += [_extract_mc(params, counts, centers, radii, int(row))
+                    for row in rows]
+        if len(samples) == n_samples:
+            return samples, attempts + int(rows[-1]) + 1
+        attempts += len(ok)
+    raise RejectionBudgetError(attempts)
 
 
-def authorized_count(params, attempts, rng, batch=8192):
+def authorized_count(params, attempts, rng):
     """Number of authorized draws among ``attempts`` independent multi-type
     Poisson samples (vectorised; used for partition-function estimates)."""
-    boundary_mc = build_boundary(params, rng)
-    done = 0
-    accepted = 0
-    while done < attempts:
-        b = int(min(batch, attempts - done))
-        _, _, _, ok = _batch_authorized(params, b, rng, boundary_mc)
-        accepted += int(ok.sum())
-        done += b
-    return accepted
+    return sum(int(ok.sum()) for *_, ok in
+               _rejection_rounds(params, attempts, rng, _BATCH))
 
 
 class _Buffer:
@@ -719,13 +690,10 @@ def _opened(target, mode):
 def dump_multitype_configuration(mc, dest):
     """Text dump, one ball per line: 1-based colour index then the geometry
     columns."""
+    config, colors = mc.merged()
     with _opened(dest, "w") as fh:
-        for color, cfg in enumerate(mc.configs, start=1):
-            for i in range(len(cfg)):
-                cols = [str(color)]
-                cols += [FLOAT_FORMAT % v for v in cfg.centers[i]]
-                cols.append(FLOAT_FORMAT % cfg.radii[i])
-                fh.write(" ".join(cols) + "\n")
+        np.savetxt(fh, np.column_stack([colors, config.centers, config.radii]),
+                   fmt=["%d"] + [FLOAT_FORMAT] * (mc.dimension + 1))
 
 
 def load_multitype_configuration(src, q, d):

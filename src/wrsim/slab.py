@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, Window
+from .geometry import Window
 from .distributions import q_tilde_transform
 from .sampling import RandomClusterChain, sample_poisson
 from .analysis import EstimationError
@@ -258,10 +258,7 @@ def segment_model_1d(z_eff, law_tilde, horizon, rng):
         raise ValueError("effective rate must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    n = rng.poisson(z_eff * horizon)
-    starts = rng.random(n) * horizon
-    lengths = np.asarray(law_tilde.sample(rng, n), dtype=float)
-    return Configuration(starts[:, None], lengths)
+    return sample_poisson(Window([0.0], [horizon]), z_eff, law_tilde, rng)
 
 
 @dataclass(frozen=True)

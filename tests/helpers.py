@@ -12,7 +12,9 @@ import numpy as np
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
 from wrsim.geometry import Configuration, Window
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
-                            MultiTypeConfiguration, build_boundary)
+                            MultiTypeConfiguration, RejectionBudgetError,
+                            build_boundary, is_authorized,
+                            sample_multitype_poisson)
 
 
 def bfs_ncc_oracle(config):
@@ -151,6 +153,28 @@ def reference_wr_chain(params, sweeps, rng):
         [Configuration(np.array(c).reshape(-1, d), np.array(r, dtype=float))
          for c, r in zip(centers, radii)])
     return state, proposals, accepted
+
+
+def reference_rejection(params, rng, max_attempts=100000, boundary_mc=None):
+    """First authorized multi-type Poisson draw, via plain rejection.
+
+    Returns (configuration, attempts used).  The acceptance frequency is an
+    unbiased estimate of the partition function Z given the boundary.  Raises
+    :class:`RejectionBudgetError` when the budget runs out.
+
+    For ordered boundaries a fresh shell is drawn per call unless
+    ``boundary_mc`` pins one; pass it explicitly to condition several draws
+    on the same boundary.
+    """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    if boundary_mc is None:
+        boundary_mc = build_boundary(params, rng)
+    for attempt in range(1, max_attempts + 1):
+        mc = sample_multitype_poisson(params, rng)
+        if is_authorized(mc, boundary_mc):
+            return mc, attempt
+    raise RejectionBudgetError(max_attempts)
 
 
 def covered_oracle(centers, radii, probes):

@@ -161,9 +161,8 @@ def test_c05_psi_machinery():
     central differences within 1e-6 on a 20-point grid; the Dirac tile fit
     probability is exactly 0.25 (and matches Monte Carlo); the worked inputs
     with Psi'(0) = -0.355 certify a positive activity range."""
-    inputs = EntropyBoundInputs(z=0.0, alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
-                                epsilon=0.2, m_side=4.0, d=2, phi=(0.9, 0.9),
-                                q=2)
+    inputs = EntropyBoundInputs(alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
+                                epsilon=0.2, m_side=4.0, d=2, phi=(0.9, 0.9))
     value, deriv = psi_eval(inputs, 0.0)
     assert value == 0.0
     assert deriv == pytest.approx(-0.355, abs=1e-12)

@@ -12,8 +12,8 @@ from wrsim.analysis import (EntropyBoundInputs, CertificateError,
                             mono_entropy_lower_bound, entropy_upper_estimate,
                             small_z_threshold, domination_test)
 
-WORKED = EntropyBoundInputs(z=0.0, alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
-                            epsilon=0.2, m_side=4.0, d=2, phi=(0.9, 0.9), q=2)
+WORKED = EntropyBoundInputs(alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
+                            epsilon=0.2, m_side=4.0, d=2, phi=(0.9, 0.9))
 
 
 class TestPhi:
@@ -48,7 +48,7 @@ class TestPsi:
             alpha = rng.random(q) + 0.1
             alpha /= alpha.sum()
             inputs = EntropyBoundInputs.with_default_margins(
-                0.0, tuple(alpha), float(rng.random() * 3 + 1),
+                tuple(alpha), float(rng.random() * 3 + 1),
                 int(rng.integers(1, 4)), tuple(rng.random(q)))
             value, _ = psi_eval(inputs, 0.0)
             assert value == pytest.approx(0.0, abs=1e-12)
@@ -61,7 +61,7 @@ class TestPsi:
     def test_derivative_at_zero_formula(self):
         # log argument collapses to 1, so Psi'(0) = max a - beta sum a_i phi_i
         inputs = EntropyBoundInputs.with_default_margins(
-            0.0, (0.3, 0.7), 2.0, 2, (0.6, 0.8))
+            (0.3, 0.7), 2.0, 2, (0.6, 0.8))
         _, deriv = psi_eval(inputs, 0.0)
         expected = 0.7 - inputs.beta * (0.3 * 0.6 + 0.7 * 0.8)
         assert deriv == pytest.approx(expected, abs=1e-12)
@@ -152,15 +152,15 @@ class TestThreshold:
             assert upper < mono_entropy_lower_bound(z, WORKED.alpha)
 
     def test_degenerate_alpha_fails(self):
-        inputs = EntropyBoundInputs(z=0.0, alpha=(1.0, 0.0), beta=0.95,
+        inputs = EntropyBoundInputs(alpha=(1.0, 0.0), beta=0.95,
                                     gamma=0.1, epsilon=0.2, m_side=4.0, d=2,
-                                    phi=(0.9, 0.9), q=2)
+                                    phi=(0.9, 0.9))
         with pytest.raises(CertificateError):
             small_z_threshold(inputs)
 
     def test_threshold_monotone_in_phi(self):
-        base = dict(z=0.0, alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
-                    epsilon=0.2, m_side=4.0, d=2, q=2)
+        base = dict(alpha=(0.5, 0.5), beta=0.95, gamma=0.1,
+                    epsilon=0.2, m_side=4.0, d=2)
         low = small_z_threshold(EntropyBoundInputs(phi=(0.85, 0.85), **base))
         high = small_z_threshold(EntropyBoundInputs(phi=(0.95, 0.95), **base))
         assert high.z_star > low.z_star
@@ -172,7 +172,7 @@ class TestThreshold:
             alpha = rng.random(q) + 0.05
             alpha /= alpha.sum()
             inputs = EntropyBoundInputs.with_default_margins(
-                0.0, tuple(alpha), 3.0, 2, tuple(np.full(q, 0.9)))
+                tuple(alpha), 3.0, 2, tuple(np.full(q, 0.9)))
             inputs.validate_margins()
 
 

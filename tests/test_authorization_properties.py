@@ -1,7 +1,7 @@
 """``is_authorized`` against a scalar all-pairs check built on the
 closed-ball predicate of ``helpers``: d = 1..3, q = 2 and 3, centres on a
 half-integer lattice (so tangent balls occur exactly) or anywhere, zero
-radii, and free, explicit and materialised boundaries."""
+radii, with and without a materialised boundary."""
 
 import itertools
 
@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import balls_overlap
 from wrsim.geometry import Configuration
-from wrsim.sampling import (BoundaryCondition, MultiTypeConfiguration,
-                            is_authorized)
+from wrsim.sampling import MultiTypeConfiguration, is_authorized
 
 COORDS = st.one_of(st.integers(-2, 8).map(lambda k: k / 2.0),
                    st.floats(-1.0, 4.0))
@@ -55,7 +54,5 @@ def test_is_authorized_matches_scalar_check(case):
     mc, outside = case
     free = scalar_authorized(mc)
     assert is_authorized(mc) == free
-    assert is_authorized(mc, BoundaryCondition.free()) == free
     with_outside = scalar_authorized(mc, outside)
     assert is_authorized(mc, outside) == with_outside
-    assert is_authorized(mc, BoundaryCondition.explicit(outside)) == with_outside

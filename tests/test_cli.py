@@ -517,14 +517,35 @@ class TestMain:
         assert main(["--config", path]) == 2
 
     def test_exit_three_on_row_failure(self, tmp_path):
+        # a radius-2 ball never fits in the 4-tile: phi = 0 and the
+        # certificate search fails at run time
         path = self.write_config(tmp_path, {
             "experiment": "entropy-certificate",
             "seed": 5,
             "out": str(tmp_path / "fail"),
-            "params": {"q": 2, "alpha": [1.0, 0.0], "m_side": 4.0, "d": 2,
-                       "law": {"kind": "dirac", "radius": 1.0}},
+            "params": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0, "d": 2,
+                       "law": {"kind": "dirac", "radius": 2.0}},
         })
         assert main(["--config", path]) == 3
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([1.0, 0.0], "max(alpha) must be < 1"),
+        ([0.7, 0.7], "alpha must be a probability vector"),
+    ])
+    def test_exit_two_on_alpha_without_default_margins(self, tmp_path, capsys,
+                                                       alpha, message):
+        # default margins need max(alpha) < 1 and a probability vector;
+        # both are checked before any phi sampling
+        path = self.write_config(tmp_path, {
+            "experiment": "entropy-certificate",
+            "seed": 5,
+            "out": str(tmp_path / "bad"),
+            "params": {"q": 2, "alpha": alpha, "m_side": 4.0, "d": 2,
+                       "law": {"kind": "dirac", "radius": 1.0}},
+        })
+        assert main(["--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
 
     def test_exit_four_on_unwritable_output(self, tmp_path):
         path = self.write_config(tmp_path, base_config(

@@ -182,13 +182,3 @@ class TestColorCensus:
         census = color_census(MultiTypeConfiguration.empty(3, 2))
         assert census.monochromatic
         assert census.dominant_fraction == 1.0
-
-    def test_coverage_when_window_given(self):
-        w = Window([0, 0], [2, 2])
-        mc = MultiTypeConfiguration([
-            Configuration(np.array([[1.0, 1.0]]), np.array([3.0])),
-            Configuration.empty(2),
-        ])
-        census = color_census(mc, window=w, probes=256)
-        assert census.covered[0] == 1.0
-        assert census.covered[1] == 0.0

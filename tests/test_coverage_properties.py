@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import covered_oracle
-from wrsim.components import color_census, covered_fraction, probe_points
+from wrsim.components import covered_fraction, probe_points
 from wrsim.distributions import ParetoRadius
 from wrsim.geometry import Configuration, Window
-from wrsim.sampling import MultiTypeConfiguration, sample_poisson
+from wrsim.sampling import sample_poisson
 
 
 def lattice_cell(window, probes):
@@ -80,20 +80,6 @@ def test_covered_fraction_matches_oracle(case):
     cfg, window, probes = case
     assert covered_fraction(cfg, window, probes) == oracle_fraction(
         cfg, window, probes)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(coverage_cases(), coverage_cases())
-def test_census_coverage_matches_oracle(a, b):
-    cfg, window, probes = a
-    other = b[0]
-    if other.dimension != cfg.dimension:
-        other = Configuration.empty(cfg.dimension)
-    census = color_census(MultiTypeConfiguration([cfg, other]), window,
-                          probes)
-    assert census.covered.tolist() == [oracle_fraction(cfg, window, probes),
-                                       oracle_fraction(other, window, probes)]
 
 
 @pytest.mark.parametrize("d, probes", [(1, 97), (1, 1000), (2, 130),

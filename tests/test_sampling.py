@@ -6,20 +6,23 @@ import pytest
 from scipy import stats
 
 from wrsim.geometry import Configuration, Window
-from wrsim.distributions import DiracRadius, UniformRadius, ParetoRadius
+from wrsim.distributions import (AtomMixtureRadius, DiracRadius,
+                                 ParetoRadius, UniformRadius)
 from wrsim.components import connected_components
 from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             GibbsParams, RejectionBudgetError, sample_poisson,
                             sample_multitype_poisson, is_authorized,
-                            build_boundary, sample_wr_rejection,
-                            sample_wr_rejection_many, authorized_count,
+                            build_boundary, sample_wr_rejection_many,
+                            authorized_count,
                             WidomRowlinsonChain, RandomClusterChain,
                             fk_coloring,
                             effective_sample_size,
                             dump_multitype_configuration,
                             load_multitype_configuration)
-from wrsim.sampling import _AUTH_CHUNK, _batch_authorized, _extract_mc
-from helpers import ORACLE_LAWS, oracle_params, reference_wr_chain
+from wrsim.sampling import (FLOAT_FORMAT, _AUTH_CHUNK, _batch_authorized,
+                            _extract_mc)
+from helpers import (ORACLE_LAWS, oracle_params, reference_rejection,
+                     reference_wr_chain)
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -95,14 +98,6 @@ class TestAuthorized:
             Configuration(np.array([[2.0, 0.0]]), np.array([1.0]))])
         assert not is_authorized(mc)
 
-    def test_boundary_condition_objects_accepted(self):
-        mc = MultiTypeConfiguration.empty(2, 2)
-        assert is_authorized(mc, BoundaryCondition.free())
-        explicit = BoundaryCondition.explicit(MultiTypeConfiguration.empty(2, 2))
-        assert is_authorized(mc, explicit)
-        with pytest.raises(ValueError):
-            is_authorized(mc, BoundaryCondition.ordered(1, 1.0))
-
     def test_boundary_balls_count(self):
         mc = MultiTypeConfiguration([
             Configuration(np.array([[2.9, 1.5]]), np.array([0.5])),
@@ -117,13 +112,15 @@ class TestAuthorized:
 class TestRejection:
     def test_q1_first_attempt(self):
         params = GibbsParams.symmetric(1, 1.0, LAW, WINDOW)
-        _, attempts = sample_wr_rejection(params, np.random.default_rng(6))
+        _, attempts = sample_wr_rejection_many(
+            params, 1, np.random.default_rng(6), batch=1)
         assert attempts == 1
 
     def test_tiny_activity_accepts_quickly(self):
         params = GibbsParams.symmetric(2, 0.01, LAW, Window.cube(1.0, 2))
         rng = np.random.default_rng(7)
-        attempts = [sample_wr_rejection(params, rng)[1] for _ in range(200)]
+        attempts = [sample_wr_rejection_many(params, 1, rng, batch=1)[1]
+                    for _ in range(200)]
         assert np.mean(attempts) < 1.2
 
     def test_budget_error_carries_attempts(self):
@@ -131,7 +128,8 @@ class TestRejection:
         params = GibbsParams.symmetric(2, 30.0, DiracRadius(10.0),
                                        Window.cube(1.0, 2))
         with pytest.raises(RejectionBudgetError) as err:
-            sample_wr_rejection(params, np.random.default_rng(8), max_attempts=50)
+            sample_wr_rejection_many(params, 1, np.random.default_rng(8),
+                                     max_attempts=50, batch=1)
         assert err.value.attempts == 50
 
     def test_batch_matches_sequential_acceptance(self):
@@ -151,11 +149,49 @@ class TestRejection:
         batch, _ = sample_wr_rejection_many(params, 600,
                                             np.random.default_rng(11))
         seq_rng = np.random.default_rng(12)
-        seq = [sample_wr_rejection(params, seq_rng)[0] for _ in range(600)]
+        seq = [sample_wr_rejection_many(params, 1, seq_rng, batch=1)[0][0]
+               for _ in range(600)]
         tb = np.array([mc.total_count() for mc in batch])
         ts = np.array([mc.total_count() for mc in seq])
         se = math.sqrt(tb.var() / len(tb) + ts.var() / len(ts))
         assert abs(tb.mean() - ts.mean()) < 3 * se
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("boundary", ["free", "ordered"])
+    @pytest.mark.parametrize("law", [
+        DiracRadius(0.3), UniformRadius(0.0, 0.5), ParetoRadius(1.2, 0.2),
+        AtomMixtureRadius(0.3, ParetoRadius(0.5, 0.05))], ids=repr)
+    def test_one_row_batches_equal_reference(self, law, boundary, q, d, seed):
+        # a single-row batch draws each attempt's colours in the order of
+        # the one-at-a-time loop: same balls, attempts, budget error and
+        # generator state (this grid gives 88 draws and 56 budget errors)
+        cond = (BoundaryCondition.ordered(q, 1.0) if boundary == "ordered"
+                else BoundaryCondition.free())
+        params = GibbsParams.symmetric(
+            q, 0.6, law, Window.cube({1: 6.0, 2: 3.0, 3: 2.0}[d], d),
+            boundary=cond)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = reference_rejection(params, ref_rng, max_attempts=20)
+        except RejectionBudgetError as err:
+            expected = err.attempts
+        try:
+            samples, attempts = sample_wr_rejection_many(
+                params, 1, rng, max_attempts=20, batch=1)
+            got = (samples[0], attempts)
+        except RejectionBudgetError as err:
+            got = err.attempts
+        assert type(got) is type(expected)
+        if isinstance(got, tuple):
+            assert got[1] == expected[1]
+            for a, b in zip(got[0].configs, expected[0].configs, strict=True):
+                assert np.array_equal(a.centers, b.centers)
+                assert np.array_equal(a.radii, b.radii)
+        else:
+            assert got == expected == 20
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("boundary", [
         BoundaryCondition.free(), BoundaryCondition.ordered(1, 1.0)])
@@ -642,6 +678,22 @@ class TestDumps:
         for a, b in zip(mc.configs, back.configs):
             assert np.array_equal(a.centers, b.centers)
             assert np.array_equal(a.radii, b.radii)
+
+    def test_line_format(self):
+        # one line per ball, colour by colour: the 1-based colour, then the
+        # centre coordinates and the radius in FLOAT_FORMAT
+        rng = np.random.default_rng(38)
+        mc = MultiTypeConfiguration(
+            [Configuration(rng.random((n, 2)) * 3.0, rng.random(n))
+             for n in (2, 0, 3)])
+        buf = io.StringIO()
+        dump_multitype_configuration(mc, buf)
+        expected = "".join(
+            " ".join([str(color)] + [FLOAT_FORMAT % v for v in x]
+                     + [FLOAT_FORMAT % r]) + "\n"
+            for color, cfg in enumerate(mc.configs, start=1)
+            for x, r in zip(cfg.centers, cfg.radii))
+        assert buf.getvalue() == expected
 
     @pytest.mark.parametrize("n", [0, 40])
     def test_one_colour_round_trip(self, n):
