@@ -155,6 +155,44 @@ def reference_wr_chain(params, sweeps, rng):
     return state, proposals, accepted
 
 
+def reference_cluster_chain(window, z, law, q, sweeps, rng):
+    """The cluster kernel of :mod:`wrsim.sampling`'s docstring (one colour,
+    ratios times q^(delta N_cc)), run from empty for ``sweeps`` sweeps;
+    returns (state, proposals, accepted, N_cc of the state).
+
+    Draws come in the order of :func:`reference_wr_chain` without the colour
+    (there is one): the coin, a birth's centre and radius or a death's ball
+    index, and the acceptance uniform.  delta N_cc is the change of
+    :func:`bfs_ncc_oracle` between the state and the proposed state; a death
+    moves the last ball into the freed slot.
+    """
+    d = window.dimension
+    centers, radii = np.empty((0, d)), np.empty(0)
+    n_cc = proposals = accepted = 0
+    for _ in range(sweeps * max(1, math.ceil(z * window.volume))):
+        proposals += 1
+        n = len(radii)
+        if rng.random() < 0.5:
+            x = window.sample_points(rng, 1)[0]
+            r = float(law.sample(rng))
+            new_c, new_r = np.vstack([centers, x]), np.append(radii, r)
+            ratio = z * window.volume / (n + 1)
+        else:
+            if n == 0:
+                continue
+            j = int(rng.integers(n))
+            order = np.arange(n - 1)
+            if j < n - 1:
+                order[j] = n - 1
+            new_c, new_r = centers[order], radii[order]
+            ratio = n / (z * window.volume)
+        new_cc, _ = bfs_ncc_oracle(Configuration(new_c, new_r))
+        if rng.random() < ratio * q ** (new_cc - n_cc):
+            centers, radii, n_cc = new_c, new_r, new_cc
+            accepted += 1
+    return Configuration(centers, radii), proposals, accepted, n_cc
+
+
 def reference_rejection(params, rng, max_attempts=100000, boundary_mc=None):
     """First authorized multi-type Poisson draw, via plain rejection.
 

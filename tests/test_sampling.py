@@ -21,8 +21,8 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             load_multitype_configuration)
 from wrsim.sampling import (FLOAT_FORMAT, _AUTH_CHUNK, _batch_authorized,
                             _extract_mc)
-from helpers import (ORACLE_LAWS, oracle_params, reference_rejection,
-                     reference_wr_chain)
+from helpers import (ORACLE_LAWS, oracle_params, reference_cluster_chain,
+                     reference_rejection, reference_wr_chain)
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -341,6 +341,31 @@ class TestWRChainOracle:
         for got, want in zip(chain.state().configs, ref.configs):
             assert got.centers.tobytes() == want.centers.tobytes()
             assert got.radii.tobytes() == want.radii.tobytes()
+
+
+class TestCRCMChainOracle:
+    """Same seed, same result: the cluster chain against a dense
+    transcription of its kernel (``helpers.reference_cluster_chain``)."""
+
+    @pytest.mark.parametrize("q", [1, 1.7, 2, 3])
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_kernel(self, d, law, q):
+        window = oracle_params(d, law, 1, "free", seed=0).window
+        seed = 80 + 10 * d + int(10 * q)
+        chain = RandomClusterChain(window, 0.8, law, q,
+                                   np.random.default_rng(seed))
+        chain.run(25)
+        ref, proposals, accepted, n_cc = reference_cluster_chain(
+            window, 0.8, law, q, 25, np.random.default_rng(seed))
+        assert (chain.proposals, chain.accepted) == (proposals, accepted)
+        assert accepted > 0
+        assert chain.state_n_cc() == n_cc
+        if q != 1:
+            assert chain.n_components == n_cc
+        got = chain.state()
+        assert got.centers.tobytes() == ref.centers.tobytes()
+        assert got.radii.tobytes() == ref.radii.tobytes()
 
 
 class TestCRCMChain:
