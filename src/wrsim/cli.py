@@ -107,6 +107,11 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+def _is_int(value):
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def derive_seed(master, point_index, replica_index):
     """Stable 64-bit replica seed from (master, point, replica)."""
     x = (int(master) + SEED_MIX_POINT * (point_index + 1)
@@ -169,20 +174,20 @@ class ExperimentConfig:
         seed = overrides.get("seed", raw.get("seed"))
         if seed is None:
             problems.append("seed: a master seed is required (no wall-clock seeding)")
-        elif not isinstance(seed, int) or seed < 0:
+        elif not _is_int(seed) or seed < 0:
             problems.append("seed: must be a nonnegative integer")
         replicas = overrides.get("replicas", raw.get("replicas", 1))
-        if not isinstance(replicas, int) or replicas < 1:
+        if not _is_int(replicas) or replicas < 1:
             problems.append("replicas: must be an integer >= 1")
         sweeps = raw.get("sweeps", 100)
-        if not isinstance(sweeps, int) or sweeps < 1:
+        if not _is_int(sweeps) or sweeps < 1:
             problems.append("sweeps: must be an integer >= 1")
         fmt = overrides.get("format", raw.get("format", "csv"))
         if fmt not in ("csv", "jsonl"):
             problems.append(f"format: must be csv or jsonl, got {fmt!r}")
         # accepted for stored configs and ignored: tasks run serially
         threads = raw.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
+        if not _is_int(threads) or threads < 1:
             problems.append("threads: must be an integer >= 1")
         out = overrides.get("out", raw.get("out"))
         dump_samples = raw.get("dump_samples", False)
@@ -306,8 +311,11 @@ def _symmetric_gibbs_from(merged):
     return params
 
 
-def _probes_from(merged):
-    return int(merged.get("probes", 1024))
+def _probes_from(merged, key="probes", default=1024):
+    probes = int(merged.get(key, default))
+    if probes < 1:
+        raise ValueError(f"{key} must be >= 1, got {probes}")
+    return probes
 
 
 def _optional_float(merged, key):
@@ -358,7 +366,7 @@ def _entropy_from(merged):
         inputs.validate_margins()
     else:
         inputs = EntropyBoundInputs.with_default_margins(**tile)
-    return laws, inputs, int(merged.get("phi_probes", 20000))
+    return laws, inputs, _probes_from(merged, "phi_probes", 20000)
 
 
 def _condition_from(merged):

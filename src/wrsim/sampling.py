@@ -14,16 +14,18 @@ measure q^{N_cc} Poisson(z, Q) / Z plus uniform colouring of components
 (Fortuin-Kasteleyn representation); both must agree in distribution for
 symmetric parameters.
 
-Birth-death kernel (one proposal):
-  * pick birth/death with probability 1/2 and a colour i uniformly;
-  * birth: a uniform centre with radius from Q_i, accepted with probability
-    min(1, z_i |L| / (n_i + 1)) when the result stays authorized, rejected
-    outright otherwise;
-  * death: a uniform ball of colour i, accepted with min(1, n_i / (z_i |L|)).
-One sweep is max(1, ceil(sum_i z_i |L|)) proposals.  The cluster chain uses
-the same kernel with each acceptance ratio multiplied by q^(delta N_cc),
-where delta N_cc is the exact component-count change of the proposal,
-obtained from the affected component only.
+Birth-death kernel (one proposal), with draws in this order:
+  * a colour i uniformly (drawn only when there is more than one), then
+    birth or death with probability 1/2;
+  * birth: a uniform centre, then a radius from Q_i; accepted when a
+    uniform falls below z_i |L| / (n_i + 1), and rejected outright, with no
+    uniform drawn, when the result would not stay authorized;
+  * death: a uniform ball index of colour i, accepted when a uniform falls
+    below n_i / (z_i |L|).
+One sweep is max(1, ceil(sum_i z_i |L|)) proposals.  The cluster chain is
+the one-colour kernel with each ratio multiplied by q^(delta N_cc), where
+delta N_cc is the exact component-count change of the proposal, obtained
+from the affected component only.
 
 A chain is strictly sequential; parallelise by running independent replicas
 with independently seeded generators.  Emitted configurations are immutable
@@ -196,19 +198,6 @@ def sample_multitype_poisson(params, rng):
          for i in range(params.q)])
 
 
-def _merge_boundary(mc, boundary_mc):
-    """Per-colour (centers, radii) with the boundary balls folded in."""
-    out = []
-    for i, cfg in enumerate(mc.configs):
-        if boundary_mc is not None and len(boundary_mc.configs[i]):
-            bc = boundary_mc.configs[i]
-            out.append((np.concatenate([cfg.centers, bc.centers]),
-                        np.concatenate([cfg.radii, bc.radii])))
-        else:
-            out.append((cfg.centers, cfg.radii))
-    return out
-
-
 def is_authorized(mc, boundary=None):
     """True iff no two balls of distinct colours overlap (boundary balls are
     merged into their colours; same-colour overlap never disqualifies).
@@ -216,7 +205,10 @@ def is_authorized(mc, boundary=None):
     ``boundary`` is a materialised outside configuration
     (:func:`build_boundary`) or None.
     """
-    merged = _merge_boundary(mc, boundary)
+    merged = [(c.centers, c.radii) for c in mc.configs]
+    if boundary is not None:
+        merged = [(np.concatenate([c, b.centers]), np.concatenate([r, b.radii]))
+                  for (c, r), b in zip(merged, boundary.configs)]
     return not any(_rows_meet(ci[None], ri[None], cj[None], rj[None])[0]
                    for i, (ci, ri) in enumerate(merged)
                    for cj, rj in merged[i + 1:])
@@ -264,7 +256,7 @@ def build_boundary(params, rng):
     raise ValueError(f"unknown boundary kind {b.kind!r}")
 
 
-def _batch_authorized(params, batch, rng, boundary_mc):
+def _batch_authorized(params, batch, rng, outside):
     """Vectorised rejection round: draw ``batch`` independent multi-type
     Poisson configurations and return the padded arrays plus the authorized
     mask.  Padding slots carry radius -inf so they can never overlap."""
@@ -281,7 +273,7 @@ def _batch_authorized(params, batch, rng, boundary_mc):
         centers.append(c)
         radii.append(r)
     bad = np.zeros(batch, dtype=bool)
-    boundary = [(c.centers, c.radii) for c in boundary_mc.configs]
+    boundary = [(c.centers, c.radii) for c in outside.configs]
     for lo in range(0, batch, _AUTH_CHUNK):
         rows = slice(lo, lo + _AUTH_CHUNK)
         for i in range(params.q):
@@ -318,10 +310,10 @@ def _extract_mc(params, counts, centers, radii, row):
 def _rejection_rounds(params, attempts, rng, batch):
     """Successive :func:`_batch_authorized` rounds of at most ``batch``
     draws, ``attempts`` draws in all, against one boundary drawn first."""
-    boundary_mc = build_boundary(params, rng)
+    outside = build_boundary(params, rng)
     for done in range(0, attempts, batch):
         yield _batch_authorized(params, min(batch, attempts - done), rng,
-                                boundary_mc)
+                                outside)
 
 
 def sample_wr_rejection_many(params, n_samples, rng, max_attempts=10 ** 8,
@@ -388,70 +380,61 @@ class _Buffer:
                              self.radii[:self.n].copy())
 
 
-class WidomRowlinsonChain:
-    """Birth-death Metropolis chain targeting the finite-volume hard-core
-    specification; see the module docstring for the exact kernel."""
+class _BirthDeathChain:
+    """The birth-death kernel of the module docstring, one ball store per
+    colour.  Subclasses weight it through :meth:`_birth_weight` and
+    :meth:`_death_weight` and keep their own bookkeeping in :meth:`_add` and
+    :meth:`_delete`, which run on acceptance."""
 
-    def __init__(self, params, rng, boundary_mc=None):
-        self.params = params
-        self.rng = rng
-        self.volume = params.window.volume
-        self.lower, self.sides = params.window.lower, params.window.sides
-        if boundary_mc is None:
-            boundary_mc = build_boundary(params, rng)
-        self.boundary = [(c.centers, c.radii) for c in boundary_mc.configs]
-        self.states = [_Buffer(params.window.dimension) for _ in range(params.q)]
-        self.proposals_per_sweep = max(1, math.ceil(params.expected_count))
+    def __init__(self, window, z, laws, rng):
+        self.z, self.laws, self.rng = z, laws, rng
+        self.volume = window.volume
+        self.lower, self.sides = window.lower, window.sides
+        self.states = [_Buffer(window.dimension) for _ in z]
+        self.proposals_per_sweep = max(1, math.ceil(sum(z) * self.volume))
         self.proposals = 0
         self.accepted = 0
-
-    @property
-    def counts(self):
-        return np.array([s.n for s in self.states], dtype=np.int64)
-
-    @property
-    def total_count(self):
-        return int(sum(s.n for s in self.states))
 
     @property
     def acceptance_rate(self):
         return self.accepted / self.proposals if self.proposals else 0.0
 
-    def _birth_authorized(self, i, x, r):
-        for j in range(self.params.q):
-            if j == i:
-                continue
-            c, rad = self.states[j].view()
-            if len(c) and (_sq_dist(c, x) <= (rad + r) ** 2).any():
-                return False
-            bc, br = self.boundary[j]
-            if len(bc) and (_sq_dist(bc, x) <= (br + r) ** 2).any():
-                return False
-        return True
+    def _birth_weight(self, i, x, r):
+        """Factor on the birth ratio, or None when the birth is blocked."""
+        return 1.0
+
+    def _death_weight(self, i, j):
+        return 1.0
+
+    def _add(self, i, x, r):
+        self.states[i].append(x, r)
+
+    def _delete(self, i, j):
+        self.states[i].remove(j)
 
     def step(self):
         rng = self.rng
-        p = self.params
-        i = int(rng.integers(p.q))
+        i = int(rng.integers(len(self.z))) if len(self.z) > 1 else 0
         self.proposals += 1
         if rng.random() < 0.5:  # birth
             x = self.lower + rng.random(len(self.sides)) * self.sides
-            r = float(p.laws[i].sample(rng))
-            if not self._birth_authorized(i, x, r):
+            r = float(self.laws[i].sample(rng))
+            weight = self._birth_weight(i, x, r)
+            if weight is None:
                 return
-            ratio = p.z[i] * self.volume / (self.states[i].n + 1)
-            if rng.random() < ratio:
-                self.states[i].append(x, r)
+            ratio = self.z[i] * self.volume / (self.states[i].n + 1)
+            if rng.random() < ratio * weight:
                 self.accepted += 1
+                self._add(i, x, r)
         else:  # death
             n_i = self.states[i].n
             if n_i == 0:
                 return
             j = int(rng.integers(n_i))
-            ratio = n_i / (p.z[i] * self.volume)
-            if rng.random() < ratio:
-                self.states[i].remove(j)
+            ratio = n_i / (self.z[i] * self.volume)
+            if rng.random() < ratio * self._death_weight(i, j):
                 self.accepted += 1
+                self._delete(i, j)
 
     def sweep(self):
         for _ in range(self.proposals_per_sweep):
@@ -462,12 +445,45 @@ class WidomRowlinsonChain:
             self.sweep()
         return self
 
+
+class WidomRowlinsonChain(_BirthDeathChain):
+    """Birth-death Metropolis chain targeting the finite-volume hard-core
+    specification: the kernel with a birth blocked when it meets a ball of
+    another colour, in the window or in the boundary ``self.boundary``
+    (drawn from ``params`` first)."""
+
+    def __init__(self, params, rng):
+        super().__init__(params.window, params.z, params.laws, rng)
+        self.boundary = build_boundary(params, rng)
+
+    # traced per class: a profiler wraps the methods in each class's own dict
+    sweep, run = _BirthDeathChain.sweep, _BirthDeathChain.run
+
+    @property
+    def counts(self):
+        return np.array([s.n for s in self.states], dtype=np.int64)
+
+    @property
+    def total_count(self):
+        return int(sum(s.n for s in self.states))
+
+    def _birth_weight(self, i, x, r):
+        for j, outside in enumerate(self.boundary.configs):
+            if j == i:
+                continue
+            for c, rad in (self.states[j].view(),
+                           (outside.centers, outside.radii)):
+                if len(c) and (_sq_dist(c, x) <= (rad + r) ** 2).any():
+                    return None
+        return 1.0
+
     def state(self):
         return MultiTypeConfiguration([s.snapshot() for s in self.states])
 
 
-class RandomClusterChain:
-    """Birth-death chain for the q^{N_cc}-weighted Poisson process.
+class RandomClusterChain(_BirthDeathChain):
+    """Birth-death chain for the q^{N_cc}-weighted Poisson process: the
+    kernel with one colour.
 
     Acceptance ratios carry the exact q^(delta N_cc) factor: a birth touching
     m distinct components changes N_cc by 1 - m; a death splits its component
@@ -486,93 +502,68 @@ class RandomClusterChain:
             raise ValueError("q must be >= 1 (real values allowed)")
         if z < 0:
             raise ValueError("activity must be nonnegative")
-        self.window = window
-        self.z = float(z)
-        self.law = law
+        super().__init__(window, (float(z),), (law,), rng)
         self.q = float(q)
-        self.rng = rng
-        self.volume = window.volume
-        self.lower, self.sides = window.lower, window.sides
         self.track = self.q != 1.0
-        self.buf = _Buffer(window.dimension)
         self.labels = np.empty(8, dtype=np.int64)
         self.n_components = 0
         self._next_label = 0
-        self.proposals_per_sweep = max(1, math.ceil(self.z * self.volume))
-        self.proposals = 0
-        self.accepted = 0
+
+    # traced per class: a profiler wraps the methods in each class's own dict
+    sweep, run = _BirthDeathChain.sweep, _BirthDeathChain.run
 
     @property
     def n(self):
-        return self.buf.n
-
-    @property
-    def acceptance_rate(self):
-        return self.accepted / self.proposals if self.proposals else 0.0
-
-    def _partners(self, x, r):
-        c, rad = self.buf.view()
-        if len(c) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.nonzero(_sq_dist(c, x) <= (rad + r) ** 2)[0]
+        return self.states[0].n
 
     def _append(self, x, r, label):
-        self.buf.append(x, r)
-        if self.buf.n > len(self.labels):
+        buf = self.states[0]
+        buf.append(x, r)
+        if buf.n > len(self.labels):
             self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
-        self.labels[self.buf.n - 1] = label
+        self.labels[buf.n - 1] = label
 
-    def _remove(self, j):
-        self.buf.remove(j)
-        self.labels[j] = self.labels[self.buf.n]
+    def _birth_weight(self, i, x, r):
+        if not self.track:
+            return 1.0
+        c, rad = self.states[0].view()
+        touched = self.labels[:len(rad)][_sq_dist(c, x) <= (rad + r) ** 2]
+        if len(touched) > 1 and (touched[1:] != touched[0]).any():
+            touched = np.unique(touched)
+        else:
+            touched = touched[:1]
+        self._touched = touched  # read by _add if the birth is accepted
+        return self.q ** (1 - len(touched))
 
-    def step(self):
-        rng = self.rng
-        self.proposals += 1
-        if rng.random() < 0.5:  # birth
-            x = self.lower + rng.random(len(self.sides)) * self.sides
-            r = float(self.law.sample(rng))
-            ratio = self.z * self.volume / (self.n + 1)
-            touched = None
-            if self.track:
-                touched = self.labels[:self.n][self._partners(x, r)]
-                if len(touched) > 1 and (touched[1:] != touched[0]).any():
-                    touched = np.unique(touched)
-                else:
-                    touched = touched[:1]
-                ratio *= self.q ** (1 - len(touched))
-            if rng.random() < ratio:
-                self.accepted += 1
-                if not self.track:
-                    self._append(x, r, 0)
-                    return
-                if len(touched) == 0:
-                    self._append(x, r, self._next_label)
-                    self._next_label += 1
-                    self.n_components += 1
-                else:
-                    keep = int(touched[0])
-                    if len(touched) > 1:
-                        lab = self.labels[:self.n]
-                        lab[np.isin(lab, touched[1:])] = keep
-                        self.n_components -= len(touched) - 1
-                    self._append(x, r, keep)
-        else:  # death
-            if self.n == 0:
-                return
-            j = int(rng.integers(self.n))
-            ratio = self.n / (self.z * self.volume)
-            if self.track:
-                pieces, closed = self._death_pieces(j)
-                ratio *= self.q ** (pieces - 1)
-            if rng.random() < ratio:
-                self.accepted += 1
-                if self.track:
-                    self.n_components += pieces - 1
-                    for g in closed:
-                        self.labels[g] = self._next_label
-                        self._next_label += 1
-                self._remove(j)
+    def _add(self, i, x, r):
+        if not self.track:
+            self._append(x, r, 0)
+        elif len(self._touched) == 0:
+            self._append(x, r, self._next_label)
+            self._next_label += 1
+            self.n_components += 1
+        else:
+            keep = int(self._touched[0])
+            if len(self._touched) > 1:
+                lab = self.labels[:self.n]
+                lab[np.isin(lab, self._touched[1:])] = keep
+                self.n_components -= len(self._touched) - 1
+            self._append(x, r, keep)
+
+    def _death_weight(self, i, j):
+        if not self.track:
+            return 1.0
+        self._pieces, self._closed = self._death_pieces(j)  # for _delete
+        return self.q ** (self._pieces - 1)
+
+    def _delete(self, i, j):
+        if self.track:
+            self.n_components += self._pieces - 1
+            for g in self._closed:
+                self.labels[g] = self._next_label
+                self._next_label += 1
+        self.states[0].remove(j)
+        self.labels[j] = self.labels[self.states[0].n]
 
     def _death_pieces(self, j):
         """(piece count, closed-off pieces) of ball j's component once j is
@@ -590,7 +581,7 @@ class RandomClusterChain:
         members = np.nonzero(lab == lab[j])[0]
         if len(members) <= 2:
             return len(members) - 1, []
-        c, rad = self.buf.view()
+        c, rad = self.states[0].view()
         mc, mr = c[members], rad[members]
         unvisited = members != j
         unreached = unvisited & (_sq_dist(mc, c[j]) <= (mr + rad[j]) ** 2)
@@ -608,17 +599,8 @@ class RandomClusterChain:
                 frontier = np.nonzero(hit & unvisited)[0]
             closed.append(members[before & ~unvisited])
 
-    def sweep(self):
-        for _ in range(self.proposals_per_sweep):
-            self.step()
-
-    def run(self, sweeps):
-        for _ in range(sweeps):
-            self.sweep()
-        return self
-
     def state(self):
-        return self.buf.snapshot()
+        return self.states[0].snapshot()
 
     def state_n_cc(self):
         if self.track:

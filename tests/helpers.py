@@ -193,24 +193,20 @@ def reference_cluster_chain(window, z, law, q, sweeps, rng):
     return Configuration(centers, radii), proposals, accepted, n_cc
 
 
-def reference_rejection(params, rng, max_attempts=100000, boundary_mc=None):
+def reference_rejection(params, rng, max_attempts=100000):
     """First authorized multi-type Poisson draw, via plain rejection.
 
     Returns (configuration, attempts used).  The acceptance frequency is an
     unbiased estimate of the partition function Z given the boundary.  Raises
-    :class:`RejectionBudgetError` when the budget runs out.
-
-    For ordered boundaries a fresh shell is drawn per call unless
-    ``boundary_mc`` pins one; pass it explicitly to condition several draws
-    on the same boundary.
+    :class:`RejectionBudgetError` when the budget runs out.  For ordered
+    boundaries a fresh shell is drawn per call, before the first attempt.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if boundary_mc is None:
-        boundary_mc = build_boundary(params, rng)
+    outside = build_boundary(params, rng)
     for attempt in range(1, max_attempts + 1):
         mc = sample_multitype_poisson(params, rng)
-        if is_authorized(mc, boundary_mc):
+        if is_authorized(mc, outside):
             return mc, attempt
     raise RejectionBudgetError(max_attempts)
 

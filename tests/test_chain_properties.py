@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import ORACLE_LAWS, oracle_params
-from wrsim.sampling import WidomRowlinsonChain, build_boundary, is_authorized
+from wrsim.sampling import WidomRowlinsonChain, is_authorized
 
 
 @settings(max_examples=100, deadline=None,
@@ -16,9 +16,7 @@ from wrsim.sampling import WidomRowlinsonChain, build_boundary, is_authorized
        st.integers(0, 2 ** 32 - 1))
 def test_wr_chain_stays_authorized_after_every_sweep(d, law, q, boundary, seed):
     params = oracle_params(d, law, q, boundary, seed)
-    rng = np.random.default_rng(seed)
-    boundary_mc = build_boundary(params, rng)
-    chain = WidomRowlinsonChain(params, rng, boundary_mc=boundary_mc)
+    chain = WidomRowlinsonChain(params, np.random.default_rng(seed))
     for _ in range(12):
         chain.sweep()
-        assert is_authorized(chain.state(), boundary_mc)
+        assert is_authorized(chain.state(), chain.boundary)

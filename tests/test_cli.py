@@ -427,6 +427,15 @@ class TestMain:
         path = self.write_config(tmp_path, base_config(bogus=1))
         assert main(["--config", path, "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
+        # JSON booleans are not integers, though Python counts them as such
+        path = self.write_config(tmp_path, base_config(
+            seed=True, replicas=True, sweeps=True, threads=True))
+        assert main(["--config", path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert all(f"{key}: must be" in err
+                   for key in ("seed", "replicas", "sweeps", "threads"))
+        assert not os.path.exists(tmp_path / "x.csv")
+        assert not os.path.exists(tmp_path / "x.meta.json")
 
     @pytest.mark.parametrize("key, value, message", [
         ("law", {"kind": "foo"}, "unknown law kind 'foo'"),
@@ -448,6 +457,9 @@ class TestMain:
         ("wr-sample", {"probes": "x"}),
         ("crcm-sample", {"probes": "x"}),
         ("domination", {"threshold": "x"}),
+        ("wr-sample", {"probes": 0}),
+        ("crcm-sample", {"probes": -3}),
+        ("entropy-certificate", {"phi_probes": 0}),
     ])
     def test_exit_two_on_bad_numeric_param(self, tmp_path, kind, params):
         good = {

@@ -306,17 +306,16 @@ class TestWRChain:
     def test_ordered_boundary_respected(self):
         boundary = BoundaryCondition.ordered(1, 1.5)
         params = GibbsParams.symmetric(2, 1.0, LAW, WINDOW, boundary=boundary)
-        rng = np.random.default_rng(18)
-        boundary_mc = build_boundary(params, rng)
-        chain = WidomRowlinsonChain(params, rng, boundary_mc=boundary_mc)
+        chain = WidomRowlinsonChain(params, np.random.default_rng(18))
         chain.run(150)
-        state = chain.state()
+        state, outside = chain.state(), chain.boundary
+        assert len(outside.configs[0]) > 0 and len(outside.configs[1]) == 0
         merged = MultiTypeConfiguration([
             Configuration(
                 np.concatenate([state.configs[i].centers,
-                                boundary_mc.configs[i].centers]),
+                                outside.configs[i].centers]),
                 np.concatenate([state.configs[i].radii,
-                                boundary_mc.configs[i].radii]))
+                                outside.configs[i].radii]))
             for i in range(2)])
         assert is_authorized(merged)
 
