@@ -18,28 +18,9 @@ A run is described by a JSON file::
       "sweep": [{"name": "z", "values": [0.25, 0.5, 1.0]}]
     }
 
-Experiment kinds and their row schemas (all rows start with the swept
-parameter columns, then ``replica`` and ``seed``, and end with ``error``):
-
-* wr-sample            count_1..count_q, total_count, n_cc, crossing,
-                       covered_fraction, dominant_fraction, monochromatic,
-                       acceptance_rate, ess_total
-* crcm-sample          count, n_cc, crossing, covered_fraction,
-                       acceptance_rate, ess_count
-* fk-compare           pipeline, count_1..count_q, total_count, n_cc,
-                       polychromatic
-* domination           wr_total, wr_exceed, poisson_total, poisson_exceed
-* phase-sweep          count_1..count_q, total_count, dominant_fraction,
-                       monochromatic, acceptance_rate
-* slab-renewal         n, k, z, law, count, n_cc_right, right_edge_reached,
-                       right_edge_reached_half
-* entropy-certificate  phi_1..phi_q, beta, gamma, epsilon, z_star, psi_at_z,
-                       bound_at_z, margin
-* condition-check      integrable, moment, coverage_condition,
-                       coverage_method, coverage_inconclusive,
-                       coverage_conjectured, atom, atom_strict,
-                       atom_conjectured, tilde_atom, tilde_atom_strict
-                       (the last two empty unless q_bar and k are given)
+Each experiment kind's row columns are its ``columns`` in ``_KINDS`` below,
+tabulated in the README; every row starts with the swept parameter columns,
+then ``replica`` and ``seed``, and ends with ``error``.
 
 Law records use the field names of :func:`wrsim.distributions.law_from_spec`,
 e.g. ``{"kind": "pareto", "alpha": 1.5, "xmin": 1.0}``.  Unknown keys
@@ -284,7 +265,8 @@ def _boundary_from(value):
     if kind == "ordered":
         if set(value) != {"kind", "color", "shell"}:
             raise ValueError("ordered boundary takes fields color, shell")
-        return BoundaryCondition.ordered(value["color"], value["shell"])
+        return BoundaryCondition.ordered(_int_from(value, "color"),
+                                         value["shell"])
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
@@ -296,7 +278,7 @@ def _laws_from(law, q):
 
 
 def _gibbs_from(merged):
-    q = int(merged["q"])
+    q = _int_from(merged, "q")
     z = merged["z"]
     z = tuple(float(v) for v in z) if isinstance(z, list) else (float(z),) * q
     return GibbsParams(q=q, z=z, laws=_laws_from(merged["law"], q),
@@ -311,11 +293,15 @@ def _symmetric_gibbs_from(merged):
     return params
 
 
-def _probes_from(merged, key="probes", default=1024):
-    probes = int(merged.get(key, default))
-    if probes < 1:
-        raise ValueError(f"{key} must be >= 1, got {probes}")
-    return probes
+def _int_from(merged, key, default=None, least=None):
+    """``merged[key]`` (``default`` when absent) as a JSON integer: booleans
+    and non-integral numbers are refused, not truncated."""
+    value = merged.get(key, default)
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
 
 
 def _optional_float(merged, key):
@@ -334,12 +320,12 @@ def _domination_from(merged):
 def _crcm_from(merged):
     return (_window_from(merged["window"]), float(merged["z"]),
             law_from_spec(merged["law"]), float(merged["q"]),
-            _probes_from(merged))
+            _int_from(merged, "probes", 1024, least=1))
 
 
 def _slab_from(merged):
     params = SlabParams(n=float(merged["n"]), k=float(merged["k"]),
-                        d=int(merged["d"]), z=float(merged["z"]),
+                        d=_int_from(merged, "d"), z=float(merged["z"]),
                         law=law_from_spec(merged["law"]),
                         q=float(merged.get("q", 2.0)),
                         q_bar=float(merged.get("q_bar", 2.5)))
@@ -347,7 +333,7 @@ def _slab_from(merged):
 
 
 def _entropy_from(merged):
-    q = int(merged["q"])
+    q = _int_from(merged, "q")
     alpha = tuple(float(a) for a in merged["alpha"])
     laws = _laws_from(merged["law"], q)
     if len(alpha) != q or len(laws) != q:
@@ -360,18 +346,18 @@ def _entropy_from(merged):
     # nothing here involves phi, so the inputs are checked before sampling
     # with placeholder phi values; the runner puts the sampled ones in
     tile = {"alpha": alpha, "m_side": float(merged["m_side"]),
-            "d": int(merged["d"]), "phi": (0.0,) * q}
+            "d": _int_from(merged, "d"), "phi": (0.0,) * q}
     if margins:
         inputs = EntropyBoundInputs(**tile, **margins)
         inputs.validate_margins()
     else:
         inputs = EntropyBoundInputs.with_default_margins(**tile)
-    return laws, inputs, _probes_from(merged, "phi_probes", 20000)
+    return laws, inputs, _int_from(merged, "phi_probes", 20000, least=1)
 
 
 def _condition_from(merged):
-    return (law_from_spec(merged["law"]), int(merged["d"]),
-            int(merged.get("q", 2)), _optional_float(merged, "q_bar"),
+    return (law_from_spec(merged["law"]), _int_from(merged, "d"),
+            _int_from(merged, "q", 2), _optional_float(merged, "q_bar"),
             _optional_float(merged, "k"))
 
 
@@ -570,7 +556,8 @@ _GIBBS_KEYS = {"q", "z", "law", "window"}
 _KINDS = {
     "wr-sample": _Kind(
         _GIBBS_KEYS, {"boundary", "probes"},
-        resolve=lambda merged: (_gibbs_from(merged), _probes_from(merged)),
+        resolve=lambda merged: (_gibbs_from(merged),
+                                _int_from(merged, "probes", 1024, least=1)),
         run=_wr_chain_rows,
         columns=("count_{i}", "total_count", "n_cc", "crossing",
                  "covered_fraction", "dominant_fraction", "monochromatic",
@@ -626,8 +613,8 @@ def experiment_schema(config):
     kind_cols = []
     for col in _KINDS[config.kind].columns:
         if "{i}" in col:
-            q = int(config.params["q"])
-            kind_cols += [col.format(i=i + 1) for i in range(q)]
+            kind_cols += [col.format(i=i + 1)
+                          for i in range(config.params["q"])]
         else:
             kind_cols.append(col)
     axes = [name for name, _ in config.sweep if name not in kind_cols]

@@ -6,14 +6,12 @@ covered fraction, and the per-colour census with the
 monochromatic/polychromatic flag.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
-from scipy.spatial import cKDTree
 
-from .geometry import _sq_dist, overlap_pairs
+from .geometry import Configuration, _sq_dist, meets_any, overlap_pairs
 
 __all__ = [
     "ComponentLabeling",
@@ -27,7 +25,6 @@ __all__ = [
 
 _PROBE_JITTER_SEED = 0x5EEDC0DE  # fixed so coverage numbers are reproducible
 _DENSE_MAX = 64  # largest configuration labelled by dense propagation
-_LARGE_BALL_CELLS = 4  # radius, in probe cells, above which a ball is scanned
 
 
 @dataclass(frozen=True)
@@ -103,66 +100,28 @@ def crossing_exists(labeling, config, window, axis):
 def probe_points(window, probes):
     """Deterministic stratified probe lattice with >= ``probes`` points.
 
-    One jittered point per cell of a regular m^d grid; the jitter seed is a
-    module constant so repeated calls give identical probes.
+    One jittered point per cell of a regular m^d grid, m the smallest side
+    with m^d >= ``probes``; the jitter seed is a module constant so repeated
+    calls give identical probes.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     d = window.dimension
-    m = _lattice_side(d, probes)
-    rng = np.random.default_rng(_PROBE_JITTER_SEED)
-    idx = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"), axis=-1)
-    idx = idx.reshape(-1, d).astype(float)
-    jitter = rng.random(idx.shape)
-    cell = window.sides / m
-    return window.lower + (idx + jitter) * cell
-
-
-def _lattice_side(d, probes):
-    """Smallest m with m^d >= probes: cells per side of the probe lattice."""
     m = max(1, round(probes ** (1.0 / d)))
     while m ** d < probes:
         m += 1
-    return m
+    idx = np.stack(np.meshgrid(*([np.arange(m)] * d), indexing="ij"), axis=-1)
+    idx = idx.reshape(-1, d).astype(float)
+    jitter = np.random.default_rng(_PROBE_JITTER_SEED).random(idx.shape)
+    return window.lower + (idx + jitter) * (window.sides / m)
 
 
 def covered_fraction(config, window, probes=2048):
-    """Fraction of the probe lattice covered by some closed ball.
-
-    Balls of radius above four lattice cells (the largest side of
-    ``window.sides / m``) go first, largest first, each tested directly
-    against the probes still uncovered; that pass stops once every probe is
-    covered.  Every other ball finds its probes by one k-d tree query over
-    the uncovered probes at its radius, inflated so that a probe on the
-    sphere survives rounding, and one exact closed-ball test
-    ``d^2 <= r^2`` keeps the true hits.
-    """
+    """Fraction of the probe lattice covered by some closed ball: the probes
+    as balls of radius 0, through :func:`~wrsim.geometry.meets_any`."""
     pts = probe_points(window, probes)
-    if len(config) == 0:
-        return 0.0
-    centers, radii = config.centers, config.radii
-    cutoff = _LARGE_BALL_CELLS * float(
-        np.max(window.sides / _lattice_side(window.dimension, probes)))
-    covered = np.zeros(len(pts), dtype=bool)
-    large = np.flatnonzero(radii > cutoff)
-    for i in large[np.argsort(-radii[large])]:
-        rem = np.flatnonzero(~covered)
-        if len(rem) == 0:
-            return 1.0
-        hit = _sq_dist(pts[rem], centers[i]) <= radii[i] ** 2
-        covered[rem[hit]] = True
-    rem = np.flatnonzero(~covered)
-    small = np.flatnonzero(radii <= cutoff)
-    if len(rem) and len(small):
-        found = cKDTree(pts[rem]).query_ball_point(
-            centers[small], radii[small] * (1.0 + 1e-9) + 1e-12)
-        lengths = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-        probe = rem[np.fromiter(itertools.chain.from_iterable(found),
-                                dtype=np.intp, count=int(lengths.sum()))]
-        ball = np.repeat(small, lengths)
-        hit = _sq_dist(pts[probe], centers[ball]) <= radii[ball] ** 2
-        covered[probe[hit]] = True
-    return float(covered.mean())
+    return float(meets_any(Configuration(pts, np.zeros(len(pts))),
+                           config).mean())
 
 
 def color_census(mc):

@@ -1,8 +1,9 @@
 """Spatial primitives for germ-grain models.
 
 Axis-aligned windows, ball configurations as centre and radius arrays, the
-squared-distance kernel behind every closed-ball test, and overlapping-pair
-search on a k-d tree.
+squared-distance kernel behind every closed-ball test, and the two k-d tree
+queries: overlapping pairs within one ball set, and which balls of one set
+meet some ball of another.
 
 Conventions
 -----------
@@ -14,10 +15,12 @@ inequalities; both distinctions sit on Lebesgue-null events.
 All values are immutable after construction and safe to share across threads.
 """
 
+import itertools
+
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["Window", "Configuration", "overlap_pairs"]
+__all__ = ["Window", "Configuration", "overlap_pairs", "meets_any"]
 
 
 class Window:
@@ -126,8 +129,14 @@ def _sq_dist(a, b):
     return s
 
 
-# radius quantile h splitting balls into k-d tree pairs and direct scans
+# radius quantile h splitting balls into k-d tree queries and direct scans
 _SPLIT_QUANTILE = 0.9
+
+
+def _inflated(distance):
+    """A k-d tree query distance stretched so that exact tangency survives
+    the tree's rounding; the exact closed-ball test runs afterwards."""
+    return distance * (1.0 + 1e-9) + 1e-12
 
 
 def overlap_pairs(config):
@@ -147,8 +156,8 @@ def overlap_pairs(config):
     centers, radii = config.centers, config.radii
     h = float(np.quantile(radii, _SPLIT_QUANTILE))
     small = np.flatnonzero(radii <= h)
-    found = cKDTree(centers[small]).query_pairs(
-        2.0 * h * (1.0 + 1e-9) + 1e-12, output_type="ndarray")
+    found = cKDTree(centers[small]).query_pairs(_inflated(2.0 * h),
+                                                output_type="ndarray")
     keys = [small[found[:, 0]] * n + small[found[:, 1]]]
     for b in np.flatnonzero(radii > h):
         near = np.flatnonzero(_sq_dist(centers, centers[b])
@@ -159,3 +168,40 @@ def overlap_pairs(config):
     i, j = keys // n, keys % n
     keep = _sq_dist(centers[i], centers[j]) <= (radii[i] + radii[j]) ** 2
     return np.stack([i[keep], j[keep]], axis=1)
+
+
+def meets_any(a, b):
+    """Mask over the balls of ``a``: True where the closed ball meets some
+    closed ball of ``b``.
+
+    The balls of ``b`` above ``h``, its 90th-percentile radius, go first,
+    largest first, each tested directly against the balls of ``a`` in its
+    strip ``|x_0 - c_0| <= r + max r_a``, until every ball of ``a`` is hit.
+    A k-d tree over the other balls of ``b`` is queried by each unhit ball
+    of ``a`` at ``r_a + h``.  Strip and query are inflated so that exact
+    tangency survives rounding; one exact test ``d^2 <= (r_a + r_b)^2``
+    keeps the true hits.
+    """
+    hit = np.zeros(len(a), dtype=bool)
+    if len(a) == 0 or len(b) == 0:
+        return hit
+    (ca, ra), (cb, rb) = (a.centers, a.radii), (b.centers, b.radii)
+    h = float(np.quantile(rb, _SPLIT_QUANTILE))
+    large = np.flatnonzero(rb > h)
+    order = np.argsort(ca[:, 0])
+    x0, reach = ca[order, 0], ra.max()
+    for j in large[np.argsort(-rb[large])]:
+        if hit.all():
+            return hit
+        w = _inflated(rb[j] + reach)
+        near = order[np.searchsorted(x0, cb[j, 0] - w):
+                     np.searchsorted(x0, cb[j, 0] + w, side="right")]
+        hit[near] |= _sq_dist(ca[near], cb[j]) <= (ra[near] + rb[j]) ** 2
+    rem = np.flatnonzero(~hit)
+    small = np.flatnonzero(rb <= h)
+    found = cKDTree(cb[small]).query_ball_point(ca[rem], _inflated(ra[rem] + h))
+    i = np.repeat(rem, [len(f) for f in found])
+    j = small[np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
+                          count=len(i))]
+    hit[i[_sq_dist(ca[i], cb[j]) <= (ra[i] + rb[j]) ** 2]] = True
+    return hit

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, Window, _sq_dist
+from .geometry import Configuration, Window, _sq_dist, meets_any
 from .components import connected_components
 
 __all__ = [
@@ -205,13 +205,13 @@ def is_authorized(mc, boundary=None):
     ``boundary`` is a materialised outside configuration
     (:func:`build_boundary`) or None.
     """
-    merged = [(c.centers, c.radii) for c in mc.configs]
+    merged = mc.configs
     if boundary is not None:
-        merged = [(np.concatenate([c, b.centers]), np.concatenate([r, b.radii]))
-                  for (c, r), b in zip(merged, boundary.configs)]
-    return not any(_rows_meet(ci[None], ri[None], cj[None], rj[None])[0]
-                   for i, (ci, ri) in enumerate(merged)
-                   for cj, rj in merged[i + 1:])
+        merged = [Configuration(np.concatenate([c.centers, b.centers]),
+                                np.concatenate([c.radii, b.radii]))
+                  for c, b in zip(merged, boundary.configs)]
+    return not any(meets_any(a, b).any()
+                   for i, a in enumerate(merged) for b in merged[i + 1:])
 
 
 def build_boundary(params, rng):
@@ -243,15 +243,10 @@ def build_boundary(params, rng):
         grown = Window(params.window.lower - b.shell,
                        params.window.upper + b.shell)
         draw = sample_poisson(grown, params.z[i], params.laws[i], rng)
-        outside = ~params.window.contains_points(draw.centers) if len(draw) \
-            else np.empty(0, dtype=bool)
-        keep = outside.copy()
-        if len(draw):
-            dist = params.window.distance_to(draw.centers)
-            keep &= dist <= draw.radii
-        shell_cfg = Configuration(draw.centers[keep], draw.radii[keep])
+        keep = (~params.window.contains_points(draw.centers)
+                & (params.window.distance_to(draw.centers) <= draw.radii))
         configs = [Configuration.empty(d) for _ in range(params.q)]
-        configs[i] = shell_cfg
+        configs[i] = Configuration(draw.centers[keep], draw.radii[keep])
         return MultiTypeConfiguration(configs)
     raise ValueError(f"unknown boundary kind {b.kind!r}")
 

@@ -440,6 +440,11 @@ class TestMain:
     @pytest.mark.parametrize("key, value, message", [
         ("law", {"kind": "foo"}, "unknown law kind 'foo'"),
         ("boundary", {"kind": "wall"}, "unknown boundary kind 'wall'"),
+        # an ordered colour is refused unless integral, never truncated
+        ("boundary", {"kind": "ordered", "color": 1.9, "shell": 1.0},
+         "color must be an integer, got 1.9"),
+        ("boundary", {"kind": "ordered", "color": True, "shell": 1.0},
+         "color must be an integer, got True"),
     ])
     def test_exit_two_on_bad_law_or_boundary(self, tmp_path, capsys, key,
                                              value, message):
@@ -460,12 +465,28 @@ class TestMain:
         ("wr-sample", {"probes": 0}),
         ("crcm-sample", {"probes": -3}),
         ("entropy-certificate", {"phi_probes": 0}),
+        # integer parameters must be JSON integers: floats and booleans
+        # are refused, never truncated
+        ("wr-sample", {"q": 2.7}),
+        ("wr-sample", {"q": 2.0}),
+        ("fk-compare", {"q": True}),
+        ("domination", {"q": 2.5}),
+        ("phase-sweep", {"q": 3.0}),
+        ("entropy-certificate", {"q": 2.0}),
+        ("condition-check", {"q": 2.5}),
+        ("slab-renewal", {"d": 2.9}),
+        ("entropy-certificate", {"d": True}),
+        ("condition-check", {"d": 2.0}),
+        ("wr-sample", {"probes": True}),
+        ("crcm-sample", {"probes": 100.5}),
+        ("entropy-certificate", {"phi_probes": 100.0}),
     ])
     def test_exit_two_on_bad_numeric_param(self, tmp_path, kind, params):
         good = {
             "entropy-certificate": {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0,
                                     "d": 2, "phi_probes": 100},
             "condition-check": {"d": 2},
+            "slab-renewal": {"n": 10, "k": 0.5, "d": 2, "z": 1.0},
         }.get(kind, base_config()["params"])
         raw = {"experiment": kind, "seed": 5, "sweeps": 5,
                "out": str(tmp_path / "bad"),

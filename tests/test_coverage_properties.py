@@ -1,7 +1,7 @@
 """Coverage probes against the dense probe-by-ball oracle: zero radii,
 coincident centres, spheres through probes, balls larger than the window,
-heavy Pareto tails, and balls on both sides of the large/small radius
-cutoff (four probe-lattice cells), in d = 1, 2, 3."""
+heavy Pareto tails, and radii from zero to several probe-lattice cells, so
+that balls fall on both sides of the split radius, in d = 1, 2, 3."""
 
 import numpy as np
 import pytest
