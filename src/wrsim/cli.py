@@ -160,6 +160,9 @@ class ExperimentConfig:
         replicas = overrides.get("replicas", raw.get("replicas", 1))
         if not _is_int(replicas) or replicas < 1:
             problems.append("replicas: must be an integer >= 1")
+        elif kind == "domination" and replicas < 2:
+            problems.append("replicas: domination compares sample variances, "
+                            "so it needs at least 2")
         sweeps = raw.get("sweeps", 100)
         if not _is_int(sweeps) or sweeps < 1:
             problems.append("sweeps: must be an integer >= 1")
@@ -503,7 +506,7 @@ def _summarize_domination(rows):
          "threshold_exceedance": [r["wr_exceed"] for r in rows]},
         {"total_count": [r["poisson_total"] for r in rows],
          "threshold_exceedance": [r["poisson_exceed"] for r in rows]},
-        min_samples=1)
+        min_samples=2)
     observables = [
         {"observable": row.observable, "z_score": row.z_score,
          "sample_mean": row.sample_mean,

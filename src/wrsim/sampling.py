@@ -482,10 +482,10 @@ class RandomClusterChain(_BirthDeathChain):
 
     Acceptance ratios carry the exact q^(delta N_cc) factor: a birth touching
     m distinct components changes N_cc by 1 - m; a death splits its component
-    into ``pieces`` parts and changes N_cc by pieces - 1.  The pieces are
-    found by a split search seeded at the removed ball's neighbours that
-    stops as soon as one search has joined all of them, so the common
-    no-split death never sweeps the whole component (see
+    into ``pieces`` parts and changes N_cc by pieces - 1.  A death that
+    splits nothing is mostly settled from the removed ball's neighbours
+    alone; the rest run a split search seeded at those neighbours that
+    stops once one search has joined them all (see
     :meth:`_death_pieces`).  Component labels are maintained incrementally;
     an accepted split relabels only the closed-off pieces (all of this is
     skipped when q == 1, where the weight is flat and the target is plain
@@ -564,22 +564,42 @@ class RandomClusterChain(_BirthDeathChain):
         """(piece count, closed-off pieces) of ball j's component once j is
         deleted; exact.
 
-        Every piece holds a neighbour of j.  A BFS seeded at the largest
-        unreached neighbour (it reaches the most balls in one step) either
-        reaches all remaining neighbours, and then the rest of the component
-        is one piece and the search stops, or runs dry and closes off one
-        piece; the next unreached neighbour seeds the next BFS.  ``closed``
-        lists the member indices of the closed-off pieces; the last piece is
-        not listed and keeps the component's label.
+        Every piece holds a neighbour of j, so the rest is one piece when
+        the neighbours all meet the largest one or, failing that, join up in
+        a search over their closed-ball matrix.  Otherwise a BFS seeded at
+        the largest unreached neighbour (it reaches the most balls in one
+        step) either reaches all remaining neighbours, and then the rest of
+        the component is one piece and the search stops, or runs dry and
+        closes off one piece; the next unreached neighbour seeds the next
+        BFS.  One closed-ball test throughout keeps the three in agreement.
+        ``closed`` lists the member indices of the closed-off pieces; the
+        last piece is not listed and keeps the component's label.
         """
         lab = self.labels[:self.n]
         members = np.nonzero(lab == lab[j])[0]
         if len(members) <= 2:
             return len(members) - 1, []
         c, rad = self.states[0].view()
+        near = _sq_dist(c, c[j]) <= (rad + rad[j]) ** 2
+        near[j] = False
+        nb = np.flatnonzero(near)
+        if len(nb) == 1:
+            return 1, []
+        nc, nr = c[nb], rad[nb]
+        top = nr.argmax()
+        far = _sq_dist(nc, nc[top]) > (nr + nr[top]) ** 2
+        if not far.any():
+            return 1, []
+        meet = _sq_dist(nc[:, None, :], nc) <= (nr[:, None] + nr) ** 2
+        reach, size = ~far, 0
+        while size < np.count_nonzero(reach) < len(nb):  # grow until stuck or full
+            size = np.count_nonzero(reach)
+            reach = meet[reach].any(axis=0)
+        if reach.all():
+            return 1, []
         mc, mr = c[members], rad[members]
         unvisited = members != j
-        unreached = unvisited & (_sq_dist(mc, c[j]) <= (mr + rad[j]) ** 2)
+        unreached = near[members]
         closed = []
         while True:
             before = unvisited.copy()

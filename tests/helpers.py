@@ -1,4 +1,4 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and fixtures for the test suite.
 
 These deliberately re-derive everything from first principles (dense pairwise
 scans, BFS, raw quadrature) so they stay independent of the library paths
@@ -10,11 +10,12 @@ import math
 import numpy as np
 
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
+from wrsim.components import connected_components
 from wrsim.geometry import Configuration, Window
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
-                            MultiTypeConfiguration, RejectionBudgetError,
-                            build_boundary, is_authorized,
-                            sample_multitype_poisson)
+                            MultiTypeConfiguration, RandomClusterChain,
+                            RejectionBudgetError, build_boundary,
+                            is_authorized, sample_multitype_poisson)
 
 
 def bfs_ncc_oracle(config):
@@ -311,3 +312,17 @@ def ks_distance_to_cdf(sample, cdf):
     fn_left = np.searchsorted(x, pts, side="left") / n
     return max(np.max(np.abs(fn_right - f_right)),
                np.max(np.abs(fn_left - f_left)))
+
+
+def loaded_chain(centers, radii, q=2.0, rng=None):
+    """A cluster chain holding the given balls, labelled from scratch."""
+    centers = np.asarray(centers, dtype=float)
+    chain = RandomClusterChain(Window.cube(10.0, centers.shape[1]), 1.0,
+                               DiracRadius(0.5), q,
+                               rng or np.random.default_rng(0))
+    labeling = connected_components(Configuration(centers, np.asarray(radii, float)))
+    for x, r, lab in zip(centers, radii, labeling.labels):
+        chain._append(x, r, int(lab))
+    chain.n_components = labeling.n_cc
+    chain._next_label = len(radii)
+    return chain

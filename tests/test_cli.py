@@ -488,12 +488,35 @@ class TestMain:
             "condition-check": {"d": 2},
             "slab-renewal": {"n": 10, "k": 0.5, "d": 2, "z": 1.0},
         }.get(kind, base_config()["params"])
-        raw = {"experiment": kind, "seed": 5, "sweeps": 5,
+        # two replicas, so domination is refused for its params alone
+        raw = {"experiment": kind, "seed": 5, "sweeps": 5, "replicas": 2,
                "out": str(tmp_path / "bad"),
                "params": {"law": {"kind": "dirac", "radius": 0.2},
                           **good, **params}}
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert not os.path.exists(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("replicas, argv", [
+        (None, []),
+        (6, ["--replicas", "1"]),
+    ])
+    def test_exit_two_on_single_replica_domination(self, tmp_path, capsys,
+                                                   replicas, argv):
+        # one replica leaves the z-score's variance without a degree of
+        # freedom: refused before any sampling, not a NaN or Infinity summary
+        raw = {"experiment": "domination", "seed": 5, "sweeps": 5,
+               "out": str(tmp_path / "bad"),
+               "params": {"q": 2, "z": 0.5,
+                          "law": {"kind": "dirac", "radius": 0.2},
+                          "window": [[0, 0], [3, 3]]}}
+        if replicas is not None:
+            raw["replicas"] = replicas
+        assert main(["--config", self.write_config(tmp_path, raw), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "replicas: domination" in err
+        assert "RuntimeWarning" not in err
+        assert not os.path.exists(tmp_path / "bad.csv")
+        assert not os.path.exists(tmp_path / "bad.meta.json")
 
     @pytest.mark.parametrize("margins", [
         {"beta": 0.5},

@@ -21,8 +21,9 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             load_multitype_configuration)
 from wrsim.sampling import (FLOAT_FORMAT, _AUTH_CHUNK, _batch_authorized,
                             _extract_mc)
-from helpers import (ORACLE_LAWS, oracle_params, reference_cluster_chain,
-                     reference_rejection, reference_wr_chain)
+from helpers import (ORACLE_LAWS, loaded_chain, oracle_params,
+                     reference_cluster_chain, reference_rejection,
+                     reference_wr_chain)
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -514,20 +515,6 @@ class _ScriptedRng:
         return self.ints.pop(0)
 
 
-def loaded_chain(centers, radii, q=2.0, rng=None):
-    """A cluster chain holding the given balls, labelled from scratch."""
-    centers = np.asarray(centers, dtype=float)
-    chain = RandomClusterChain(Window.cube(10.0, centers.shape[1]), 1.0,
-                               DiracRadius(0.5), q,
-                               rng or np.random.default_rng(0))
-    labeling = connected_components(Configuration(centers, np.asarray(radii, float)))
-    for x, r, lab in zip(centers, radii, labeling.labels):
-        chain._append(x, r, int(lab))
-    chain.n_components = labeling.n_cc
-    chain._next_label = len(radii)
-    return chain
-
-
 class TestDeathSplit:
     def test_path_middle_removed_two_pieces(self):
         chain = loaded_chain([[1, 1], [2, 1], [3, 1]], [0.5] * 3)
@@ -548,6 +535,24 @@ class TestDeathSplit:
         assert connected_components(chain.state()).n_cc == 1
         for j in range(8):
             assert chain._death_pieces(j) == (1, [])
+
+    def test_big_ball_meeting_every_leaf_one_piece(self):
+        # the leaves meet the removed centre and the big ball but never each
+        # other: the star on the largest neighbour joins them
+        leaves = [[6, 5], [4, 5], [5, 6], [5, 4]]
+        chain = loaded_chain([[5, 5]] + leaves + [[5.2, 5]], [0.5] * 5 + [2.0])
+        assert chain._death_pieces(0) == (1, [])
+        assert loaded_chain(leaves, [0.5] * 4).n_components == 4
+
+    def test_dirac_triangle_fan_one_piece(self):
+        # equal balls on an arc around the removed one: each meets only its
+        # arc neighbours, so no neighbour meets all the others, yet the fan
+        # of triangles joins them
+        angles = np.radians([0, 50, 100, 150, 200])
+        fan = 5 + 0.9 * np.column_stack([np.cos(angles), np.sin(angles)])
+        chain = loaded_chain(np.vstack([[5, 5], fan]), [0.5] * 6)
+        assert chain._death_pieces(0) == (1, [])
+        assert loaded_chain(fan[[0, 2, 4]], [0.5] * 3).n_components == 3
 
     def test_isolated_ball_no_piece(self):
         chain = loaded_chain([[1, 1], [5, 5], [5.5, 5]], [0.3] * 3)
