@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from wrsim.cli import (ConfigError, ExperimentConfig, derive_seed, sweep_plan,
                        experiment_schema, main)
 from wrsim.sampling import load_multitype_configuration
 from wrsim.slab import p_from_ncc
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def base_config(**over):
@@ -651,3 +654,18 @@ class TestMain:
             run_meta = (base.parent / (base.name + ".run.txt")).read_text()
             assert "experiment=crcm-sample" in run_meta
             assert "sweeps=20" in run_meta and "ess_count=" in run_meta
+
+    def test_crcm_sample_dump_matches_golden_bytes(self, tmp_path):
+        # a q = 2 cluster chain on uniform radii whose ball count passes 128
+        # and whose deaths split components: the committed dump fixes every
+        # centre and radius it ends with, so a change to the chain's state
+        # handling that alters one draw or one piece count shows here.  q = 2
+        # and uniform radii keep pow and FFT rounding out of the file.
+        raw = {"experiment": "crcm-sample", "seed": 7, "sweeps": 10,
+               "out": str(tmp_path / "golden"), "dump_samples": True,
+               "params": {"q": 2, "z": 1.0,
+                          "law": {"kind": "uniform", "low": 0.2, "high": 0.6},
+                          "window": [[0, 0], [12, 12]]}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
+        assert got == (GOLDEN / "crcm_uniform_q2.balls.txt").read_bytes()
