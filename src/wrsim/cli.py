@@ -93,6 +93,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _refuse_constant(name):
+    # Python's json reads NaN, Infinity and -Infinity, which JSON has not
+    raise ConfigError([f"config is not valid JSON: {name} is not a number"])
+
+
 def derive_seed(master, point_index, replica_index):
     """Stable 64-bit replica seed from (master, point, replica)."""
     x = (int(master) + SEED_MIX_POINT * (point_index + 1)
@@ -222,7 +227,7 @@ class ExperimentConfig:
     def from_file(cls, path, overrides=None):
         with open(path) as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_refuse_constant)
             except json.JSONDecodeError as exc:
                 raise ConfigError([f"config is not valid JSON: {exc}"])
         return cls.from_dict(raw, overrides)

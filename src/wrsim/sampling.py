@@ -487,20 +487,28 @@ class RandomClusterChain(_BirthDeathChain):
     alone; the rest run a split search seeded at those neighbours that
     stops once one search has joined them all (see
     :meth:`_death_pieces`).  Component labels are maintained incrementally;
-    an accepted split relabels only the closed-off pieces (all of this is
-    skipped when q == 1, where the weight is flat and the target is plain
-    Poisson).
+    an accepted split relabels only the closed-off pieces.
+
+    ``adj`` is the closed-ball overlap matrix of the balls (diagonal True):
+    a birth writes the distance row it computed anyway as the new row and
+    column, and a death moves the last row and column into the freed slot,
+    as the ball buffer does, so deaths compute no distance.  It grows with
+    the buffer, by doubling, and takes capacity^2 bytes: 64 KiB at a
+    capacity of 256 balls, 16 MiB at 4096.  All of this is skipped when
+    q == 1, where the weight is flat and the target is plain Poisson;
+    ``adj`` is then None.
     """
 
     def __init__(self, window, z, law, q, rng):
-        if q < 1:
+        if not q >= 1:
             raise ValueError("q must be >= 1 (real values allowed)")
-        if z < 0:
-            raise ValueError("activity must be nonnegative")
+        if not 0 <= z < math.inf:
+            raise ValueError("activity must be finite and nonnegative")
         super().__init__(window, (float(z),), (law,), rng)
         self.q = float(q)
         self.track = self.q != 1.0
         self.labels = np.empty(8, dtype=np.int64)
+        self.adj = np.zeros((8, 8), dtype=bool) if self.track else None
         self.n_components = 0
         self._next_label = 0
 
@@ -522,28 +530,37 @@ class RandomClusterChain(_BirthDeathChain):
         if not self.track:
             return 1.0
         c, rad = self.states[0].view()
-        touched = self.labels[:len(rad)][_sq_dist(c, x) <= (rad + r) ** 2]
+        near = _sq_dist(c, x) <= (rad + r) ** 2
+        touched = self.labels[:len(rad)][near]
         if len(touched) > 1 and (touched[1:] != touched[0]).any():
             touched = np.unique(touched)
         else:
             touched = touched[:1]
-        self._touched = touched  # read by _add if the birth is accepted
+        self._near, self._touched = near, touched  # for _add on acceptance
         return self.q ** (1 - len(touched))
 
     def _add(self, i, x, r):
         if not self.track:
             self._append(x, r, 0)
-        elif len(self._touched) == 0:
-            self._append(x, r, self._next_label)
+            return
+        if len(self._touched) == 0:
+            label = self._next_label
             self._next_label += 1
             self.n_components += 1
         else:
-            keep = int(self._touched[0])
-            if len(self._touched) > 1:
-                lab = self.labels[:self.n]
-                lab[np.isin(lab, self._touched[1:])] = keep
-                self.n_components -= len(self._touched) - 1
-            self._append(x, r, keep)
+            label = int(self._touched[0])
+            lab = self.labels[:self.n]
+            for t in self._touched[1:]:
+                lab[lab == t] = label
+            self.n_components -= len(self._touched) - 1
+        self._append(x, r, label)
+        n = self.n
+        if n > len(self.adj):
+            grown = np.zeros((2 * len(self.adj),) * 2, dtype=bool)
+            grown[:n - 1, :n - 1] = self.adj[:n - 1, :n - 1]
+            self.adj = grown
+        self.adj[n - 1, :n - 1] = self.adj[:n - 1, n - 1] = self._near
+        self.adj[n - 1, n - 1] = True
 
     def _death_weight(self, i, j):
         if not self.track:
@@ -558,61 +575,61 @@ class RandomClusterChain(_BirthDeathChain):
                 self.labels[g] = self._next_label
                 self._next_label += 1
         self.states[0].remove(j)
-        self.labels[j] = self.labels[self.states[0].n]
+        m = self.states[0].n
+        self.labels[j] = self.labels[m]
+        if self.track and j != m:
+            self.adj[j, :m] = self.adj[m, :m]
+            self.adj[:m, j] = self.adj[:m, m]
+            self.adj[j, j] = True
 
     def _death_pieces(self, j):
         """(piece count, closed-off pieces) of ball j's component once j is
-        deleted; exact.
+        deleted; exact, and read from ``adj`` alone.
 
-        Every piece holds a neighbour of j, so the rest is one piece when
-        the neighbours all meet the largest one or, failing that, join up in
-        a search over their closed-ball matrix.  Otherwise a BFS seeded at
-        the largest unreached neighbour (it reaches the most balls in one
-        step) either reaches all remaining neighbours, and then the rest of
-        the component is one piece and the search stops, or runs dry and
-        closes off one piece; the next unreached neighbour seeds the next
-        BFS.  One closed-ball test throughout keeps the three in agreement.
-        ``closed`` lists the member indices of the closed-off pieces; the
-        last piece is not listed and keeps the component's label.
+        Every piece holds a neighbour of j, so the rest is one piece when j
+        has at most one neighbour, when the neighbours all meet the largest
+        one, or, failing that, when they join up in their own block of
+        ``adj``.  Otherwise a BFS over ``adj`` seeded at the largest
+        unreached neighbour (it reaches the most balls in one step) either
+        reaches all remaining neighbours, and then the rest of the component
+        is one piece and the search stops, or runs dry and closes off one
+        piece; the next unreached neighbour seeds the next BFS.  The BFS
+        never leaves j's component, so it needs no label scan.  ``closed``
+        lists the ball indices of the closed-off pieces; the last piece is
+        not listed and keeps the component's label.
         """
-        lab = self.labels[:self.n]
-        members = np.nonzero(lab == lab[j])[0]
-        if len(members) <= 2:
-            return len(members) - 1, []
-        c, rad = self.states[0].view()
-        near = _sq_dist(c, c[j]) <= (rad + rad[j]) ** 2
-        near[j] = False
-        nb = np.flatnonzero(near)
-        if len(nb) == 1:
+        n, adj = self.n, self.adj
+        unreached = adj[j, :n].copy()
+        unreached[j] = False
+        nb = unreached.nonzero()[0]
+        if len(nb) <= 1:
+            return len(nb), []
+        rad = self.states[0].radii[:n]
+        top = nb[rad[nb].argmax()]
+        reach = adj[top, nb]
+        if reach.all():
             return 1, []
-        nc, nr = c[nb], rad[nb]
-        top = nr.argmax()
-        far = _sq_dist(nc, nc[top]) > (nr + nr[top]) ** 2
-        if not far.any():
-            return 1, []
-        meet = _sq_dist(nc[:, None, :], nc) <= (nr[:, None] + nr) ** 2
-        reach, size = ~far, 0
+        meet = adj[np.ix_(nb, nb)]
+        size = 0
         while size < np.count_nonzero(reach) < len(nb):  # grow until stuck or full
             size = np.count_nonzero(reach)
             reach = meet[reach].any(axis=0)
         if reach.all():
             return 1, []
-        mc, mr = c[members], rad[members]
-        unvisited = members != j
-        unreached = near[members]
+        unvisited = np.ones(n, dtype=bool)
+        unvisited[j] = False
         closed = []
         while True:
             before = unvisited.copy()
-            frontier = [np.where(unreached, mr, -np.inf).argmax()]
+            frontier = [np.where(unreached, rad, -np.inf).argmax()]
             while len(frontier):
                 unvisited[frontier] = False
                 unreached[frontier] = False
                 if not unreached.any():
                     return len(closed) + 1, closed
-                d2 = _sq_dist(mc[frontier][:, None, :], mc)
-                hit = (d2 <= (mr[frontier][:, None] + mr) ** 2).any(axis=0)
-                frontier = np.nonzero(hit & unvisited)[0]
-            closed.append(members[before & ~unvisited])
+                hit = adj[frontier, :n].any(axis=0)
+                frontier = (hit & unvisited).nonzero()[0]
+            closed.append(np.flatnonzero(before & ~unvisited))
 
     def state(self):
         return self.states[0].snapshot()

@@ -315,14 +315,18 @@ def ks_distance_to_cdf(sample, cdf):
 
 
 def loaded_chain(centers, radii, q=2.0, rng=None):
-    """A cluster chain holding the given balls, labelled from scratch."""
+    """A cluster chain holding the given balls in order, each added through
+    the chain's own accepted-birth path (so its overlap matrix is built as a
+    run builds it), then labelled from scratch."""
     centers = np.asarray(centers, dtype=float)
     chain = RandomClusterChain(Window.cube(10.0, centers.shape[1]), 1.0,
                                DiracRadius(0.5), q,
                                rng or np.random.default_rng(0))
+    for x, r in zip(centers, radii):
+        chain._birth_weight(0, x, float(r))
+        chain._add(0, x, float(r))
     labeling = connected_components(Configuration(centers, np.asarray(radii, float)))
-    for x, r, lab in zip(centers, radii, labeling.labels):
-        chain._append(x, r, int(lab))
+    chain.labels[:len(radii)] = labeling.labels
     chain.n_components = labeling.n_cc
     chain._next_label = len(radii)
     return chain

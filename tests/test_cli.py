@@ -499,6 +499,25 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert not os.path.exists(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("kind, field, text", [
+        ("crcm-sample", '"q": 2', '"q": NaN'),
+        ("crcm-sample", '"z": 0.5', '"z": NaN'),
+        ("crcm-sample", '"z": 0.5', '"z": Infinity'),
+        ("wr-sample", '"z": 0.5', '"z": -Infinity'),
+        ("crcm-sample", '"radius": 0.5', '"radius": NaN'),
+    ])
+    def test_exit_two_on_non_finite_number(self, tmp_path, capsys, kind,
+                                           field, text):
+        # Python's json reads these names, which JSON itself does not have
+        body = json.dumps(base_config(experiment=kind,
+                                      out=str(tmp_path / "bad")))
+        assert field in body
+        path = tmp_path / "cfg.json"
+        path.write_text(body.replace(field, text))
+        assert main(["--config", str(path)]) == 2
+        assert "is not a number" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
+
     @pytest.mark.parametrize("replicas, argv", [
         (None, []),
         (6, ["--replicas", "1"]),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wrsim.geometry import Configuration, Window
+from wrsim.geometry import Configuration, Window, _sq_dist
 from wrsim.distributions import (AtomMixtureRadius, DiracRadius,
                                  ParetoRadius, UniformRadius)
 from wrsim.components import connected_components
@@ -441,6 +441,13 @@ class TestCRCMChain:
                                np.random.default_rng(25)).run(40).state()
         assert np.array_equal(a.centers, b.centers)
 
+    @pytest.mark.parametrize("z, q", [
+        (0.8, math.nan), (0.8, 0.5), (math.nan, 2.0), (math.inf, 2.0),
+        (-0.5, 2.0)])
+    def test_bad_activity_or_q_refused(self, z, q):
+        with pytest.raises(ValueError):
+            RandomClusterChain(WINDOW, z, LAW, q, np.random.default_rng(0))
+
     def test_real_valued_q_allowed(self):
         chain = RandomClusterChain(WINDOW, 0.5, LAW, 1.5, np.random.default_rng(26))
         chain.run(20)
@@ -457,9 +464,14 @@ def same_partition(a, b):
 
 
 def assert_labels_exact(chain):
+    """Labels, component count and overlap matrix against a from-scratch
+    labelling and closed-ball test."""
     labeling = connected_components(chain.state())
     assert chain.n_components == labeling.n_cc
     assert same_partition(chain.labels[:chain.n], labeling.labels)
+    c, r = chain.states[0].view()
+    meets = _sq_dist(c[:, None, :], c) <= (r[:, None] + r) ** 2
+    assert np.array_equal(chain.adj[:chain.n, :chain.n], meets)
 
 
 def record_pieces(chain):
@@ -498,6 +510,28 @@ class TestCRCMExactness:
             chain.sweep()
             assert_labels_exact(chain)
         assert max(pieces) >= 2  # some death proposal met a real split
+
+    def test_overlap_matrix_grows_with_the_buffer(self):
+        # from empty past 128 balls: checked right after every doubling of
+        # the capacity and after every sweep
+        chain = RandomClusterChain(Window.cube(12.0, 2), 1.0,
+                                   UniformRadius(0.2, 0.6), 2.0,
+                                   np.random.default_rng(32))
+        seen = set()
+        for _ in range(10):
+            for _ in range(chain.proposals_per_sweep):
+                chain.step()
+                if len(chain.adj) not in seen:
+                    seen.add(len(chain.adj))
+                    assert_labels_exact(chain)
+            assert_labels_exact(chain)
+        assert seen >= {8, 16, 32, 64, 128, 256}
+        assert len(chain.adj) == len(chain.labels) == len(chain.states[0].radii)
+
+    def test_flat_weight_keeps_no_matrix(self):
+        chain = RandomClusterChain(WINDOW, 0.8, LAW, 1,
+                                   np.random.default_rng(33)).run(5)
+        assert chain.n > 0 and chain.adj is None
 
 
 class _ScriptedRng:
