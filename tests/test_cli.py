@@ -688,3 +688,19 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 0
         got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
         assert got == (GOLDEN / "crcm_uniform_q2.balls.txt").read_bytes()
+
+    def test_wr_sample_dump_matches_golden_bytes(self, tmp_path):
+        # a q = 3 WR chain on Pareto(1.2, 0.2) radii inside an ordered shell
+        # of colour 2: births of colours 1 and 3 are blocked by balls of the
+        # other colours in the window and in the shell, so the committed dump
+        # fixes every closed-ball decision the chain made along the way
+        raw = {"experiment": "wr-sample", "seed": 7, "sweeps": 10,
+               "out": str(tmp_path / "golden"), "dump_samples": True,
+               "params": {"q": 3, "z": 0.5,
+                          "law": {"kind": "pareto", "alpha": 1.2, "xmin": 0.2},
+                          "window": [[0, 0], [8, 8]],
+                          "boundary": {"kind": "ordered", "color": 2,
+                                       "shell": 1.5}}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
+        assert got == (GOLDEN / "wr_pareto_q3_ordered.balls.txt").read_bytes()

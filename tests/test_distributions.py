@@ -8,7 +8,7 @@ from helpers import (ks_distance_to_cdf, moment_quadrature_oracle,
                      coverage_quadrature_oracle)
 from wrsim.distributions import (DiracRadius, UniformRadius, ExponentialRadius,
                                  ParetoRadius, AtomMixtureRadius,
-                                 classify_integrability,
+                                 TransformedRadius, classify_integrability,
                                  check_coverage_condition, q_tilde_transform,
                                  condition_summary, law_from_spec)
 
@@ -197,6 +197,17 @@ class TestLawSpec:
     def test_round_trip(self):
         for law in ALL_LAWS:
             assert law_from_spec(law.to_spec()) == law
+
+    def test_round_trip_keeps_hash_and_repr(self):
+        for law in ALL_LAWS:
+            back = law_from_spec(law.to_spec())
+            assert (hash(back), repr(back)) == (hash(law), repr(law))
+        # a transformed law is built, never read from a record; its source is
+        source = AtomMixtureRadius(0.3, ParetoRadius(0.5, 1.0))
+        law = q_tilde_transform(source, 0.5, 3)
+        back = TransformedRadius(law_from_spec(source.to_spec()), law.shift)
+        assert back == law and back.to_spec() == law.to_spec()
+        assert (hash(back), repr(back)) == (hash(law), repr(law))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
