@@ -91,11 +91,11 @@ class EntropyBoundInputs:
         alpha = np.asarray(self.alpha)
         if len(self.phi) != len(alpha):
             raise ValueError("alpha and phi must have the same length")
-        if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-9:
+        if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-9):
             raise ValueError("alpha must be a probability vector")
         if any(not 0.0 <= p <= 1.0 for p in self.phi):
             raise ValueError("phi entries must lie in [0, 1]")
-        if self.m_side <= 0 or self.d < 1:
+        if not (0 < self.m_side < math.inf and self.d >= 1):
             raise ValueError("invalid tile geometry")
 
     @property
@@ -210,7 +210,7 @@ def _log_weighted_expsum(a, one_minus_q):
     inner = one_minus_q * math.exp(-m) + shifted.sum()
     if inner <= 0.0:
         raise ValueError("log argument is not positive")
-    return m + math.log(inner), shifted, inner, m
+    return m + math.log(inner), shifted, inner
 
 
 def psi_eval(inputs, z):
@@ -227,7 +227,7 @@ def psi_eval(inputs, z):
     phi = np.asarray(inputs.phi)
     v = inputs.tile_volume
     a = z * alpha * v * phi
-    log_arg, shifted, inner, _ = _log_weighted_expsum(a, 1.0 - inputs.q)
+    log_arg, shifted, inner = _log_weighted_expsum(a, 1.0 - inputs.q)
     value = z * inputs.alpha_max - (inputs.beta / v) * log_arg
     numer = float((alpha * phi * shifted).sum())
     deriv = inputs.alpha_max - inputs.beta * numer / inner

@@ -93,9 +93,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _refuse_constant(name):
-    # Python's json reads NaN, Infinity and -Infinity, which JSON has not
-    raise ConfigError([f"config is not valid JSON: {name} is not a number"])
+def _non_finite(value, where):
+    """A problem for each NaN or infinity in a JSON value; Python's json
+    reads NaN, Infinity and -Infinity, which JSON has not."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [p for k, v in items for p in _non_finite(v, f"{where}.{k}")]
+    if isinstance(value, float) and not np.isfinite(value):
+        return [f"{where}: {value} is not a number"]
+    return []
 
 
 def derive_seed(master, point_index, replica_index):
@@ -149,6 +155,7 @@ class ExperimentConfig:
         for key in raw:
             if key not in _TOP_KEYS:
                 problems.append(f"unknown key {key!r}")
+            problems += _non_finite(raw[key], key)
         kind = raw.get("experiment")
         spec = _KINDS[kind] if kind in EXPERIMENT_KINDS else None
         if spec is None:
@@ -227,7 +234,7 @@ class ExperimentConfig:
     def from_file(cls, path, overrides=None):
         with open(path) as fh:
             try:
-                raw = json.load(fh, parse_constant=_refuse_constant)
+                raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError([f"config is not valid JSON: {exc}"])
         return cls.from_dict(raw, overrides)
@@ -696,9 +703,8 @@ def emit_records(records, schema, out_stem, fmt, metadata):
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be csv or jsonl, got {fmt!r}")
-    paths = []
+    path = f"{out_stem}.{fmt}"
     if fmt == "csv":
-        path = f"{out_stem}.csv"
         with open(path, "w", newline="") as fh:
             # a "\r\n" terminator makes the writer quote cells holding a
             # bare "\r" too; each row still ends in "\n"
@@ -708,21 +714,15 @@ def emit_records(records, schema, out_stem, fmt, metadata):
             writer.writerow(schema)
             for record in records:
                 writer.writerow([_format_cell(record.get(k)) for k in schema])
-        paths.append(path)
     else:
-        path = f"{out_stem}.jsonl"
         with open(path, "w") as fh:
             for record in records:
-                clean = {k: (None if record.get(k) is None else record[k])
-                         for k in schema}
-                fh.write(json.dumps(clean, sort_keys=False) + "\n")
-        paths.append(path)
+                fh.write(json.dumps({k: record.get(k) for k in schema}) + "\n")
     meta_path = f"{out_stem}.meta.json"
     with open(meta_path, "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    paths.append(meta_path)
-    return paths
+    return [path, meta_path]
 
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -745,13 +745,9 @@ def load_records(path):
     """Parse an emitted CSV back into (schema, records); re-emitting the
     result reproduces the file byte for byte."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    schema = rows[0]
-    records = []
-    for row in rows[1:]:
-        records.append({k: _parse_cell(v) for k, v in zip(schema, row)})
-    return schema, records
+        schema, *rows = csv.reader(fh)
+    return schema, [{k: _parse_cell(v) for k, v in zip(schema, row)}
+                    for row in rows]
 
 
 def _dump_states(config, states, out_stem):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 
-from .geometry import Configuration, _sq_dist, meets_any, overlap_pairs
+from .geometry import Configuration, meets, meets_any, overlap_pairs
 
 __all__ = [
     "ComponentLabeling",
@@ -72,8 +72,7 @@ def _dense_labels(centers, radii):
     """Smallest member index per ball, by min-label propagation with pointer
     jumping over the closed-ball adjacency (self-loops included)."""
     n = len(radii)
-    adj = (_sq_dist(centers[:, None, :], centers[None, :, :])
-           <= (radii[:, None] + radii[None, :]) ** 2)
+    adj = meets(centers[:, None, :], radii[:, None], centers, radii)
     labels = np.arange(n)
     while True:
         new = np.where(adj, labels, n).min(axis=1, initial=n)

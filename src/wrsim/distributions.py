@@ -46,9 +46,13 @@ _TAIL_SUPERLOG = "superlogarithmic"  # I(u)/log u -> oo -> always converges
 
 
 class RadiusLaw:
-    """Base class; subclasses implement sampling and analytic tails."""
+    """Base class; subclasses implement sampling and analytic tails, and
+    name their record fields besides ``kind`` (``law_fields`` hold nested
+    laws), from which the record, equality, hashing and repr derive."""
 
     kind = "abstract"
+    fields = ()
+    law_fields = ()
 
     def sample(self, rng, size=None):
         raise NotImplementedError
@@ -73,14 +77,19 @@ class RadiusLaw:
         """Growth class of int_1^u survival(r) dr; see module docstring."""
         raise NotImplementedError
 
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.fields)
+
     def to_spec(self):
-        raise NotImplementedError
+        """The JSON record; a nested law becomes its own record."""
+        spec = {"kind": self.kind, **dict(zip(self.fields, self._values()))}
+        return {**spec, **{k: spec[k].to_spec() for k in self.law_fields}}
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.to_spec() == other.to_spec()
+        return type(self) is type(other) and self._values() == other._values()
 
     def __hash__(self):
-        return hash(str(self.to_spec()))
+        return hash((self.kind, self._values()))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v}" for k, v in self.to_spec().items() if k != "kind")
@@ -91,10 +100,11 @@ class DiracRadius(RadiusLaw):
     """All mass at a single radius r0 >= 0."""
 
     kind = "dirac"
+    fields = ("radius",)
 
     def __init__(self, radius):
         radius = float(radius)
-        if radius < 0:
+        if not radius >= 0:
             raise ValueError("dirac radius must be nonnegative")
         self.radius = radius
 
@@ -116,14 +126,12 @@ class DiracRadius(RadiusLaw):
     def tail_growth(self):
         return (_TAIL_FINITE, None)
 
-    def to_spec(self):
-        return {"kind": "dirac", "radius": self.radius}
-
 
 class UniformRadius(RadiusLaw):
     """Uniform on [low, high], 0 <= low < high."""
 
     kind = "uniform"
+    fields = ("low", "high")
 
     def __init__(self, low, high):
         low, high = float(low), float(high)
@@ -146,18 +154,16 @@ class UniformRadius(RadiusLaw):
     def tail_growth(self):
         return (_TAIL_FINITE, None)
 
-    def to_spec(self):
-        return {"kind": "uniform", "low": self.low, "high": self.high}
-
 
 class ExponentialRadius(RadiusLaw):
     """Exponential with the given rate; survival exp(-rate * r)."""
 
     kind = "exponential"
+    fields = ("rate",)
 
     def __init__(self, rate):
         rate = float(rate)
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("exponential rate must be positive")
         self.rate = rate
 
@@ -178,18 +184,16 @@ class ExponentialRadius(RadiusLaw):
     def tail_growth(self):
         return (_TAIL_FINITE, None)
 
-    def to_spec(self):
-        return {"kind": "exponential", "rate": self.rate}
-
 
 class ParetoRadius(RadiusLaw):
     """Pareto tail: survival (r / xmin)^(-alpha) for r >= xmin."""
 
     kind = "pareto"
+    fields = ("alpha", "xmin")
 
     def __init__(self, alpha, xmin):
         alpha, xmin = float(alpha), float(xmin)
-        if alpha <= 0 or xmin <= 0:
+        if not (alpha > 0 and xmin > 0):
             raise ValueError("pareto law requires alpha > 0 and xmin > 0")
         self.alpha = alpha
         self.xmin = xmin
@@ -224,14 +228,13 @@ class ParetoRadius(RadiusLaw):
             return (_TAIL_LOG, self.xmin)
         return (_TAIL_SUPERLOG, None)
 
-    def to_spec(self):
-        return {"kind": "pareto", "alpha": self.alpha, "xmin": self.xmin}
-
 
 class AtomMixtureRadius(RadiusLaw):
     """Mixture p0 * delta_0 + (1 - p0) * remainder, p0 in [0, 1)."""
 
     kind = "atom_mixture"
+    fields = ("p0", "remainder")
+    law_fields = ("remainder",)
 
     def __init__(self, p0, remainder):
         p0 = float(p0)
@@ -274,10 +277,6 @@ class AtomMixtureRadius(RadiusLaw):
             return (_TAIL_LOG, (1.0 - self.p0) * coef)
         return (cls, coef)
 
-    def to_spec(self):
-        return {"kind": "atom_mixture", "p0": self.p0,
-                "remainder": self.remainder.to_spec()}
-
 
 class TransformedRadius(RadiusLaw):
     """Law of sqrt(max(r^2 - shift, 0)) for r drawn from a source law.
@@ -287,10 +286,12 @@ class TransformedRadius(RadiusLaw):
     """
 
     kind = "transformed"
+    fields = ("shift", "source")
+    law_fields = ("source",)
 
     def __init__(self, source, shift):
         shift = float(shift)
-        if shift < 0:
+        if not shift >= 0:
             raise ValueError("shift must be nonnegative")
         self.source = source
         self.shift = shift
@@ -325,10 +326,6 @@ class TransformedRadius(RadiusLaw):
 
     def tail_growth(self):
         return self.source.tail_growth()
-
-    def to_spec(self):
-        return {"kind": "transformed", "shift": self.shift,
-                "source": self.source.to_spec()}
 
 
 @dataclass(frozen=True)
@@ -467,15 +464,10 @@ def condition_summary(law, d, q, q_bar=None, k=None):
     return out
 
 
-# kind -> (record fields besides "kind", builder from the record)
-_LAWS = {
-    "dirac": ({"radius"}, lambda s: DiracRadius(s["radius"])),
-    "uniform": ({"low", "high"}, lambda s: UniformRadius(s["low"], s["high"])),
-    "exponential": ({"rate"}, lambda s: ExponentialRadius(s["rate"])),
-    "pareto": ({"alpha", "xmin"}, lambda s: ParetoRadius(s["alpha"], s["xmin"])),
-    "atom_mixture": ({"p0", "remainder"}, lambda s: AtomMixtureRadius(
-        s["p0"], law_from_spec(s["remainder"]))),
-}
+# the kinds a JSON record may name; a transformed law is built, not read
+_LAWS = {cls.kind: cls for cls in (DiracRadius, UniformRadius,
+                                   ExponentialRadius, ParetoRadius,
+                                   AtomMixtureRadius)}
 
 
 def law_from_spec(spec):
@@ -487,9 +479,10 @@ def law_from_spec(spec):
     kind = spec["kind"]
     if kind not in _LAWS:
         raise ValueError(f"unknown law kind {kind!r}")
+    cls = _LAWS[kind]
     fields = set(spec) - {"kind"}
-    expected, build = _LAWS[kind]
-    if fields != expected:
-        raise ValueError(
-            f"law kind {kind!r} takes fields {sorted(expected)}, got {sorted(fields)}")
-    return build(spec)
+    if fields != set(cls.fields):
+        raise ValueError(f"law kind {kind!r} takes fields "
+                         f"{sorted(cls.fields)}, got {sorted(fields)}")
+    return cls(**{name: law_from_spec(spec[name]) if name in cls.law_fields
+                  else spec[name] for name in cls.fields})

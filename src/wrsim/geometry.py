@@ -1,9 +1,9 @@
 """Spatial primitives for germ-grain models.
 
 Axis-aligned windows, ball configurations as centre and radius arrays, the
-squared-distance kernel behind every closed-ball test, and the two k-d tree
-queries: overlapping pairs within one ball set, and which balls of one set
-meet some ball of another.
+closed-ball predicate :func:`meets` behind every overlap test, and the two
+k-d tree queries: overlapping pairs within one ball set, and which balls of
+one set meet some ball of another.
 
 Conventions
 -----------
@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = ["Window", "Configuration", "overlap_pairs", "meets_any"]
+__all__ = ["Window", "Configuration", "meets", "overlap_pairs", "meets_any"]
 
 
 class Window:
@@ -121,12 +121,18 @@ def _sq_dist(a, b):
     axis shorter than 8 in the same order, so this equals
     ``((a - b) ** 2).sum(-1)`` bit for bit when d <= 7, at a fraction of the
     cost for small d; from d = 8 on NumPy sums pairwise and the last bit may
-    differ.  Every closed-ball test goes through here.
+    differ.
     """
     s = (a[..., 0] - b[..., 0]) ** 2
     for k in range(1, a.shape[-1]):
         s += (a[..., k] - b[..., k]) ** 2
     return s
+
+
+def meets(ca, ra, cb, rb):
+    """Whether closed balls (ca, ra) and (cb, rb) meet, broadcasting; every
+    closed-ball test goes through here, and a NaN radius meets nothing."""
+    return _sq_dist(ca, cb) <= (ra + rb) ** 2
 
 
 # radius quantile h splitting balls into k-d tree queries and direct scans
@@ -147,8 +153,7 @@ def overlap_pairs(config):
     one k-d tree query at distance ``2h``, inflated so that exact tangency
     survives rounding; each larger ball is compared with every ball.  That
     candidate set contains every overlapping pair whatever the radius tail,
-    and one exact closed-ball test ``d^2 <= (r_i + r_j)^2`` keeps the true
-    ones.
+    and the exact test :func:`meets` keeps the true ones.
     """
     n = len(config)
     if n < 2:
@@ -160,13 +165,12 @@ def overlap_pairs(config):
                                                 output_type="ndarray")
     keys = [small[found[:, 0]] * n + small[found[:, 1]]]
     for b in np.flatnonzero(radii > h):
-        near = np.flatnonzero(_sq_dist(centers, centers[b])
-                              <= (radii + radii[b]) ** 2)
+        near = np.flatnonzero(meets(centers, radii, centers[b], radii[b]))
         near = near[near != b]
         keys.append(np.minimum(near, b) * n + np.maximum(near, b))
     keys = np.unique(np.concatenate(keys))
     i, j = keys // n, keys % n
-    keep = _sq_dist(centers[i], centers[j]) <= (radii[i] + radii[j]) ** 2
+    keep = meets(centers[i], radii[i], centers[j], radii[j])
     return np.stack([i[keep], j[keep]], axis=1)
 
 
@@ -179,8 +183,8 @@ def meets_any(a, b):
     strip ``|x_0 - c_0| <= r + max r_a``, until every ball of ``a`` is hit.
     A k-d tree over the other balls of ``b`` is queried by each unhit ball
     of ``a`` at ``r_a + h``.  Strip and query are inflated so that exact
-    tangency survives rounding; one exact test ``d^2 <= (r_a + r_b)^2``
-    keeps the true hits.
+    tangency survives rounding; the exact test :func:`meets` keeps the true
+    hits.
     """
     hit = np.zeros(len(a), dtype=bool)
     if len(a) == 0 or len(b) == 0:
@@ -196,12 +200,12 @@ def meets_any(a, b):
         w = _inflated(rb[j] + reach)
         near = order[np.searchsorted(x0, cb[j, 0] - w):
                      np.searchsorted(x0, cb[j, 0] + w, side="right")]
-        hit[near] |= _sq_dist(ca[near], cb[j]) <= (ra[near] + rb[j]) ** 2
+        hit[near] |= meets(ca[near], ra[near], cb[j], rb[j])
     rem = np.flatnonzero(~hit)
     small = np.flatnonzero(rb <= h)
     found = cKDTree(cb[small]).query_ball_point(ca[rem], _inflated(ra[rem] + h))
     i = np.repeat(rem, [len(f) for f in found])
     j = small[np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
                           count=len(i))]
-    hit[i[_sq_dist(ca[i], cb[j]) <= (ra[i] + rb[j]) ** 2]] = True
+    hit[i[meets(ca[i], ra[i], cb[j], rb[j])]] = True
     return hit

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, Window, _sq_dist, meets_any
+from .geometry import Configuration, Window, meets, meets_any
 from .components import connected_components
 
 __all__ = [
@@ -166,8 +166,8 @@ class GibbsParams:
             raise ValueError("q must be >= 1")
         if len(self.z) != self.q or len(self.laws) != self.q:
             raise ValueError("z and laws must have length q")
-        if any(v < 0 for v in self.z):
-            raise ValueError("activities must be nonnegative")
+        if any(not 0 <= v < math.inf for v in self.z):
+            raise ValueError("activities must be finite and nonnegative")
         if self.boundary.kind == "ordered" and not (1 <= self.boundary.color <= self.q):
             raise ValueError("ordered boundary color out of range")
 
@@ -254,42 +254,33 @@ def build_boundary(params, rng):
 def _batch_authorized(params, batch, rng, outside):
     """Vectorised rejection round: draw ``batch`` independent multi-type
     Poisson configurations and return the padded arrays plus the authorized
-    mask.  Padding slots carry radius -inf so they can never overlap."""
+    mask.  Padding slots carry radius NaN, which meets nothing."""
     window = params.window
     counts, centers, radii = [], [], []
     for i in range(params.q):
         n_i = rng.poisson(params.z[i] * window.volume, batch)
         m = int(n_i.max()) if batch else 0
-        c = window.lower + rng.random((batch, m, window.dimension)) * window.sides
-        r = np.asarray(params.laws[i].sample(rng, (batch, m)), dtype=float)
-        valid = np.arange(m)[None, :] < n_i[:, None]
-        r = np.where(valid, r, -np.inf)
         counts.append(n_i)
-        centers.append(c)
-        radii.append(r)
+        centers.append(window.lower
+                       + rng.random((batch, m, window.dimension)) * window.sides)
+        r = np.asarray(params.laws[i].sample(rng, (batch, m)), dtype=float)
+        radii.append(np.where(np.arange(m) < n_i[:, None], r, np.nan))
     bad = np.zeros(batch, dtype=bool)
     boundary = [(c.centers, c.radii) for c in outside.configs]
     for lo in range(0, batch, _AUTH_CHUNK):
         rows = slice(lo, lo + _AUTH_CHUNK)
         for i in range(params.q):
-            ci, ri = centers[i][rows], radii[i][rows]
+            # (rows, m_i, 1) against (rows, 1, m_j) for colour j's row balls,
+            # and against (m_j,) for its boundary balls, shared by every row
+            ci, ri = centers[i][rows, :, None], radii[i][rows, :, None]
             for j in range(i + 1, params.q):
-                bad[rows] |= _rows_meet(ci, ri, centers[j][rows], radii[j][rows])
-            # chain colour i against every other colour's boundary balls
+                bad[rows] |= meets(ci, ri, centers[j][rows, None],
+                                   radii[j][rows, None]).any(axis=(1, 2))
             for j in range(params.q):
                 bc, br = boundary[j]
                 if j != i and len(bc):
-                    bad[rows] |= _rows_meet(ci, ri, bc[None], br[None])
+                    bad[rows] |= meets(ci, ri, bc, br).any(axis=(1, 2))
     return counts, centers, radii, ~bad
-
-
-def _rows_meet(ci, ri, cj, rj):
-    """Per row, whether some ball of (ci, ri) meets some ball of (cj, rj);
-    centres are (rows, m, d), radii (rows, m), and a leading axis of length
-    one is shared by every row.  Padding radii of -inf never meet."""
-    d2 = _sq_dist(ci[:, :, None, :], cj[:, None, :, :])
-    rsum = ri[:, :, None] + rj[:, None, :]
-    return ((d2 <= rsum ** 2) & (rsum >= 0)).any(axis=(1, 2))
 
 
 def _extract_mc(params, counts, centers, radii, row):
@@ -344,28 +335,41 @@ def authorized_count(params, attempts, rng):
 
 
 class _Buffer:
-    """Growable (centers, radii) store with swap-remove deletion."""
+    """Growable ball store with swap-remove deletion, holding with
+    ``cluster`` the cluster chain's ``labels`` and ``adj`` too (else None):
+    every array doubles together and moves its last entry together."""
 
-    __slots__ = ("centers", "radii", "n")
+    __slots__ = ("centers", "radii", "labels", "adj", "n")
 
-    def __init__(self, d, cap=8):
+    def __init__(self, d, cluster=False, cap=8):
         self.centers = np.empty((cap, d))
         self.radii = np.empty(cap)
+        self.labels = np.empty(cap, dtype=np.int64) if cluster else None
+        self.adj = np.zeros((cap, cap), dtype=bool) if cluster else None
         self.n = 0
 
     def append(self, x, r):
-        if self.n == len(self.radii):
+        n = self.n
+        if n == len(self.radii):
             self.centers = np.concatenate([self.centers, np.empty_like(self.centers)])
             self.radii = np.concatenate([self.radii, np.empty_like(self.radii)])
-        self.centers[self.n] = x
-        self.radii[self.n] = r
-        self.n += 1
+            if self.adj is not None:
+                self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
+                self.adj = np.pad(self.adj, (0, n))
+        self.centers[n] = x
+        self.radii[n] = r
+        self.n = n + 1
 
     def remove(self, j):
-        self.n -= 1
-        if j != self.n:
-            self.centers[j] = self.centers[self.n]
-            self.radii[j] = self.radii[self.n]
+        m = self.n = self.n - 1
+        if j != m:
+            self.centers[j] = self.centers[m]
+            self.radii[j] = self.radii[m]
+            if self.adj is not None:
+                self.labels[j] = self.labels[m]
+                self.adj[j, :m] = self.adj[m, :m]
+                self.adj[:m, j] = self.adj[:m, m]
+                self.adj[j, j] = True
 
     def view(self):
         return self.centers[:self.n], self.radii[:self.n]
@@ -381,11 +385,11 @@ class _BirthDeathChain:
     :meth:`_death_weight` and keep their own bookkeeping in :meth:`_add` and
     :meth:`_delete`, which run on acceptance."""
 
-    def __init__(self, window, z, laws, rng):
+    def __init__(self, window, z, laws, rng, cluster=False):
         self.z, self.laws, self.rng = z, laws, rng
         self.volume = window.volume
         self.lower, self.sides = window.lower, window.sides
-        self.states = [_Buffer(window.dimension) for _ in z]
+        self.states = [_Buffer(window.dimension, cluster) for _ in z]
         self.proposals_per_sweep = max(1, math.ceil(sum(z) * self.volume))
         self.proposals = 0
         self.accepted = 0
@@ -468,7 +472,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
                 continue
             for c, rad in (self.states[j].view(),
                            (outside.centers, outside.radii)):
-                if len(c) and (_sq_dist(c, x) <= (rad + r) ** 2).any():
+                if len(c) and meets(c, rad, x, r).any():
                     return None
         return 1.0
 
@@ -490,13 +494,12 @@ class RandomClusterChain(_BirthDeathChain):
     an accepted split relabels only the closed-off pieces.
 
     ``adj`` is the closed-ball overlap matrix of the balls (diagonal True):
-    a birth writes the distance row it computed anyway as the new row and
-    column, and a death moves the last row and column into the freed slot,
-    as the ball buffer does, so deaths compute no distance.  It grows with
-    the buffer, by doubling, and takes capacity^2 bytes: 64 KiB at a
-    capacity of 256 balls, 16 MiB at 4096.  All of this is skipped when
-    q == 1, where the weight is flat and the target is plain Poisson;
-    ``adj`` is then None.
+    a birth writes the closed-ball row it computed anyway as the new row
+    and column, so deaths compute no distance.  ``labels`` and ``adj`` live
+    in the ball store, which grows and swap-removes them with the balls;
+    ``adj`` takes capacity^2 bytes: 64 KiB at a capacity of 256 balls,
+    16 MiB at 4096.  All of this is skipped when q == 1, where the weight
+    is flat and the target is plain Poisson; both are then None.
     """
 
     def __init__(self, window, z, law, q, rng):
@@ -504,11 +507,9 @@ class RandomClusterChain(_BirthDeathChain):
             raise ValueError("q must be >= 1 (real values allowed)")
         if not 0 <= z < math.inf:
             raise ValueError("activity must be finite and nonnegative")
-        super().__init__(window, (float(z),), (law,), rng)
         self.q = float(q)
         self.track = self.q != 1.0
-        self.labels = np.empty(8, dtype=np.int64)
-        self.adj = np.zeros((8, 8), dtype=bool) if self.track else None
+        super().__init__(window, (float(z),), (law,), rng, cluster=self.track)
         self.n_components = 0
         self._next_label = 0
 
@@ -519,19 +520,16 @@ class RandomClusterChain(_BirthDeathChain):
     def n(self):
         return self.states[0].n
 
-    def _append(self, x, r, label):
-        buf = self.states[0]
-        buf.append(x, r)
-        if buf.n > len(self.labels):
-            self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
-        self.labels[buf.n - 1] = label
+    labels = property(lambda self: self.states[0].labels)
+    adj = property(lambda self: self.states[0].adj)
 
     def _birth_weight(self, i, x, r):
         if not self.track:
             return 1.0
-        c, rad = self.states[0].view()
-        near = _sq_dist(c, x) <= (rad + r) ** 2
-        touched = self.labels[:len(rad)][near]
+        buf = self.states[0]
+        c, rad = buf.view()
+        near = meets(c, rad, x, r)
+        touched = buf.labels[:len(rad)][near]
         if len(touched) > 1 and (touched[1:] != touched[0]).any():
             touched = np.unique(touched)
         else:
@@ -540,27 +538,24 @@ class RandomClusterChain(_BirthDeathChain):
         return self.q ** (1 - len(touched))
 
     def _add(self, i, x, r):
+        buf = self.states[0]
+        buf.append(x, r)
         if not self.track:
-            self._append(x, r, 0)
             return
+        n = buf.n
         if len(self._touched) == 0:
             label = self._next_label
             self._next_label += 1
             self.n_components += 1
         else:
             label = int(self._touched[0])
-            lab = self.labels[:self.n]
+            lab = buf.labels[:n - 1]
             for t in self._touched[1:]:
                 lab[lab == t] = label
             self.n_components -= len(self._touched) - 1
-        self._append(x, r, label)
-        n = self.n
-        if n > len(self.adj):
-            grown = np.zeros((2 * len(self.adj),) * 2, dtype=bool)
-            grown[:n - 1, :n - 1] = self.adj[:n - 1, :n - 1]
-            self.adj = grown
-        self.adj[n - 1, :n - 1] = self.adj[:n - 1, n - 1] = self._near
-        self.adj[n - 1, n - 1] = True
+        buf.labels[n - 1] = label
+        buf.adj[n - 1, :n - 1] = buf.adj[:n - 1, n - 1] = self._near
+        buf.adj[n - 1, n - 1] = True
 
     def _death_weight(self, i, j):
         if not self.track:
@@ -575,12 +570,6 @@ class RandomClusterChain(_BirthDeathChain):
                 self.labels[g] = self._next_label
                 self._next_label += 1
         self.states[0].remove(j)
-        m = self.states[0].n
-        self.labels[j] = self.labels[m]
-        if self.track and j != m:
-            self.adj[j, :m] = self.adj[m, :m]
-            self.adj[:m, j] = self.adj[:m, m]
-            self.adj[j, j] = True
 
     def _death_pieces(self, j):
         """(piece count, closed-off pieces) of ball j's component once j is
@@ -647,12 +636,10 @@ def fk_coloring(config, q, rng):
     if int(q) != q or q < 1:
         raise ValueError("q must be a positive integer")
     q = int(q)
-    labeling = connected_components(config)
-    roots = np.unique(labeling.labels)
-    colors_of_root = {int(lab): int(rng.integers(1, q + 1)) for lab in roots}
+    roots, of_root = np.unique(connected_components(config).labels,
+                               return_inverse=True)
+    ball_colors = rng.integers(1, q + 1, size=len(roots))[of_root]
     configs = []
-    ball_colors = np.array([colors_of_root[int(lab)] for lab in labeling.labels],
-                           dtype=np.int64) if len(config) else np.empty(0, np.int64)
     for color in range(1, q + 1):
         mask = ball_colors == color
         configs.append(Configuration(config.centers[mask], config.radii[mask]))
@@ -715,17 +702,12 @@ def load_multitype_configuration(src, q, d):
         rows = [line.split() for line in fh if line.strip()]
     per_color = {c: ([], []) for c in range(1, q + 1)}
     for row in rows:
-        color = int(row[0])
-        per_color[color][0].append([float(v) for v in row[1:-1]])
-        per_color[color][1].append(float(row[-1]))
-    configs = []
-    for c in range(1, q + 1):
-        centers, radii = per_color[c]
-        if centers:
-            configs.append(Configuration(np.asarray(centers), np.asarray(radii)))
-        else:
-            configs.append(Configuration.empty(d))
-    return MultiTypeConfiguration(configs)
+        centers, radii = per_color[int(row[0])]
+        centers.append([float(v) for v in row[1:-1]])
+        radii.append(float(row[-1]))
+    return MultiTypeConfiguration(
+        Configuration(centers or np.empty((0, d)), radii)
+        for centers, radii in per_color.values())
 
 
 def write_run_metadata(dest, record):

@@ -73,12 +73,12 @@ class SlabParams:
     q_bar: float = 2.5
 
     def __post_init__(self):
-        if self.n <= 0 or self.k <= 0:
-            raise ValueError("slab requires n > 0 and k > 0")
+        if not (0 < self.n < math.inf and 0 < self.k < math.inf):
+            raise ValueError("slab requires finite n > 0 and k > 0")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.z < 0:
-            raise ValueError("activity must be nonnegative")
+        if not 0 <= self.z < math.inf:
+            raise ValueError("activity must be finite and nonnegative")
         if self.q < 1:
             raise ValueError("q must be >= 1")
         if not self.q_bar > self.q:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -150,6 +151,13 @@ class TestThreshold:
             psi, _ = psi_eval(WORKED, z)
             upper = mono_entropy_lower_bound(z, WORKED.alpha) + psi
             assert upper < mono_entropy_lower_bound(z, WORKED.alpha)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", (math.nan, 0.5)), ("alpha", (0.5, math.nan)),
+        ("m_side", math.nan), ("m_side", math.inf)])
+    def test_non_finite_inputs_refused(self, field, value):
+        with pytest.raises(ValueError):
+            dataclasses.replace(WORKED, **{field: value})
 
     def test_degenerate_alpha_fails(self):
         inputs = EntropyBoundInputs(alpha=(1.0, 0.0), beta=0.95,

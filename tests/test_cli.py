@@ -105,6 +105,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="symmetric activities"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("kind, edit, problem", [
+        ("wr-sample", {"params": {"z": float("nan")}}, "params.z: nan"),
+        ("wr-sample", {"params": {"z": [0.5, float("inf")]}}, "params.z.1: inf"),
+        ("crcm-sample", {"params": {"q": float("nan")}}, "params.q: nan"),
+        ("wr-sample", {"params": {"law": {
+            "kind": "atom_mixture", "p0": 0.2,
+            "remainder": {"kind": "dirac", "radius": float("nan")}}}},
+         "params.law.remainder.radius: nan"),
+        ("wr-sample", {"sweep": [{"name": "z", "values": [0.5, -float("inf")]}]},
+         "sweep.0.values.1: -inf"),
+    ])
+    def test_non_finite_number_refused(self, kind, edit, problem):
+        # library callers pass floats straight in, with no JSON parser to
+        # stop NaN and infinities before the config is built
+        raw = base_config(experiment=kind)
+        raw["params"].update(edit.get("params", {}))
+        raw["sweep"] = edit.get("sweep", [])
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert f"{problem} is not a number" in err.value.problems
+
     @pytest.mark.parametrize("kind", ["nope", ["wr-sample"]])
     def test_unknown_experiment(self, kind):
         with pytest.raises(ConfigError, match="experiment must be one of"):

@@ -209,6 +209,18 @@ class TestLawSpec:
         assert back == law and back.to_spec() == law.to_spec()
         assert (hash(back), repr(back)) == (hash(law), repr(law))
 
+    @pytest.mark.parametrize("build", [
+        lambda v: DiracRadius(v), lambda v: UniformRadius(v, 1.0),
+        lambda v: UniformRadius(0.0, v), lambda v: ExponentialRadius(v),
+        lambda v: ParetoRadius(v, 1.0), lambda v: ParetoRadius(1.0, v),
+        lambda v: AtomMixtureRadius(v, DiracRadius(1.0)),
+        lambda v: TransformedRadius(DiracRadius(1.0), v),
+    ], ids=["dirac", "uniform-low", "uniform-high", "exponential",
+            "pareto-alpha", "pareto-xmin", "atom-p0", "transformed-shift"])
+    def test_nan_parameter_refused(self, build):
+        with pytest.raises(ValueError):
+            build(float("nan"))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             law_from_spec({"kind": "cauchy", "scale": 1.0})

@@ -76,6 +76,11 @@ class TestMultiTypePoisson:
         se = 1.0 / math.sqrt(10000)  # var of each side is z|L| = 1
         assert abs(cov) < 3 * se
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), -0.5])
+    def test_activity_must_be_finite_and_nonnegative(self, z):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GibbsParams.symmetric(2, z, LAW, WINDOW)
+
     def test_zero_activity_colors_empty(self):
         params = GibbsParams(q=3, z=(0.0, 1.0, 0.0), laws=(LAW,) * 3,
                              window=WINDOW)

@@ -21,6 +21,14 @@ def params_1d(n=10.0, z=1.0, law=None):
     return SlabParams(n=n, k=1.0, d=1, z=z, law=law or DiracRadius(1.0))
 
 
+@pytest.mark.parametrize("field", ["n", "k", "z"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_slab_params_refuse_non_finite(field, value):
+    args = {"n": 10.0, "k": 1.0, "d": 2, "z": 1.0, "law": DiracRadius(1.0)}
+    with pytest.raises(ValueError, match="finite"):
+        SlabParams(**{**args, field: value})
+
+
 def segments_config(pairs):
     """1D configuration from (start, length) pairs."""
     starts = np.array([[s] for s, _ in pairs], dtype=float)
