@@ -264,7 +264,8 @@ def sweep_plan(config):
 def _window_from(value):
     if (not isinstance(value, list) or len(value) != 2):
         raise ValueError("window must be [[lower…], [upper…]]")
-    return Window(value[0], value[1])
+    return Window(*([_real(x, "window") for x in side]
+                    if isinstance(side, list) else side for side in value))
 
 
 def _boundary_from(value):
@@ -281,7 +282,7 @@ def _boundary_from(value):
         if set(value) != {"kind", "color", "shell"}:
             raise ValueError("ordered boundary takes fields color, shell")
         return BoundaryCondition.ordered(_int_from(value, "color"),
-                                         value["shell"])
+                                         _real(value["shell"], "shell"))
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
@@ -294,9 +295,9 @@ def _laws_from(law, q):
 
 def _gibbs_from(merged):
     q = _int_from(merged, "q")
-    z = merged["z"]
-    z = tuple(float(v) for v in z) if isinstance(z, list) else (float(z),) * q
-    return GibbsParams(q=q, z=z, laws=_laws_from(merged["law"], q),
+    z = merged["z"] if isinstance(merged["z"], list) else [merged["z"]] * q
+    return GibbsParams(q=q, z=tuple(_real(v, "z") for v in z),
+                       laws=_laws_from(merged["law"], q),
                        window=_window_from(merged["window"]),
                        boundary=_boundary_from(merged.get("boundary")))
 
@@ -319,9 +320,15 @@ def _int_from(merged, key, default=None, least=None):
     return value
 
 
+def _real(value, key):
+    """``value`` as a float: booleans are refused, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _optional_float(merged, key):
-    value = merged.get(key)
-    return None if value is None else float(value)
+    return None if merged.get(key) is None else _real(merged[key], key)
 
 
 def _domination_from(merged):
@@ -333,34 +340,32 @@ def _domination_from(merged):
 
 
 def _crcm_from(merged):
-    return (_window_from(merged["window"]), float(merged["z"]),
-            law_from_spec(merged["law"]), float(merged["q"]),
+    return (_window_from(merged["window"]), _real(merged["z"], "z"),
+            law_from_spec(merged["law"]), _real(merged["q"], "q"),
             _int_from(merged, "probes", 1024, least=1))
 
 
 def _slab_from(merged):
-    params = SlabParams(n=float(merged["n"]), k=float(merged["k"]),
-                        d=_int_from(merged, "d"), z=float(merged["z"]),
-                        law=law_from_spec(merged["law"]),
-                        q=float(merged.get("q", 2.0)),
-                        q_bar=float(merged.get("q_bar", 2.5)))
+    params = SlabParams(n=_real(merged["n"], "n"), k=_real(merged["k"], "k"),
+                        d=_int_from(merged, "d"), z=_real(merged["z"], "z"),
+                        law=law_from_spec(merged["law"]))
     return params, _point_cell(merged["law"])
 
 
 def _entropy_from(merged):
     q = _int_from(merged, "q")
-    alpha = tuple(float(a) for a in merged["alpha"])
+    alpha = tuple(_real(a, "alpha") for a in merged["alpha"])
     laws = _laws_from(merged["law"], q)
     if len(alpha) != q or len(laws) != q:
         raise ValueError(f"alpha and law must have q = {q} entries")
-    margins = {key: float(merged[key]) for key in ("beta", "gamma", "epsilon")
-               if key in merged}
+    margins = {key: _real(merged[key], key)
+               for key in ("beta", "gamma", "epsilon") if key in merged}
     if len(margins) not in (0, 3):
         raise ValueError("beta, gamma and epsilon must be given together or "
                          "not at all")
     # nothing here involves phi, so the inputs are checked before sampling
     # with placeholder phi values; the runner puts the sampled ones in
-    tile = {"alpha": alpha, "m_side": float(merged["m_side"]),
+    tile = {"alpha": alpha, "m_side": _real(merged["m_side"], "m_side"),
             "d": _int_from(merged, "d"), "phi": (0.0,) * q}
     if margins:
         inputs = EntropyBoundInputs(**tile, **margins)
@@ -598,7 +603,7 @@ _KINDS = {
         columns=("count_{i}", "total_count", "dominant_fraction",
                  "monochromatic", "acceptance_rate")),
     "slab-renewal": _Kind(
-        {"n", "k", "d", "z", "law"}, {"q", "q_bar"}, resolve=_slab_from,
+        {"n", "k", "d", "z", "law"}, set(), resolve=_slab_from,
         run=_run_slab_renewal,
         columns=("n", "k", "z", "law", "count", "n_cc_right",
                  "right_edge_reached", "right_edge_reached_half"),

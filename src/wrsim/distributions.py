@@ -464,10 +464,7 @@ def condition_summary(law, d, q, q_bar=None, k=None):
     return out
 
 
-# the kinds a JSON record may name; a transformed law is built, not read
-_LAWS = {cls.kind: cls for cls in (DiracRadius, UniformRadius,
-                                   ExponentialRadius, ParetoRadius,
-                                   AtomMixtureRadius)}
+_LAWS = {cls.kind: cls for cls in RadiusLaw.__subclasses__()}
 
 
 def law_from_spec(spec):
@@ -484,5 +481,8 @@ def law_from_spec(spec):
     if fields != set(cls.fields):
         raise ValueError(f"law kind {kind!r} takes fields "
                          f"{sorted(cls.fields)}, got {sorted(fields)}")
+    if any(isinstance(spec[name], bool) for name in cls.fields
+           if name not in cls.law_fields):
+        raise ValueError(f"law kind {kind!r} takes no booleans, got {spec!r}")
     return cls(**{name: law_from_spec(spec[name]) if name in cls.law_fields
                   else spec[name] for name in cls.fields})

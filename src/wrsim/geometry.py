@@ -35,6 +35,8 @@ class Window:
             raise ValueError("lower/upper must be equal-length vectors")
         if not np.all(lower < upper):
             raise ValueError("window requires lower[i] < upper[i] on every axis")
+        if not np.isfinite([lower, upper]).all():
+            raise ValueError("window bounds must be finite")
         lower.setflags(write=False)
         upper.setflags(write=False)
         self.lower = lower

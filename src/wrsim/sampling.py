@@ -381,9 +381,9 @@ class _Buffer:
 
 class _BirthDeathChain:
     """The birth-death kernel of the module docstring, one ball store per
-    colour.  Subclasses weight it through :meth:`_birth_weight` and
-    :meth:`_death_weight` and keep their own bookkeeping in :meth:`_add` and
-    :meth:`_delete`, which run on acceptance."""
+    colour.  Subclasses define ``_birth_weight(i, x, r)``: None blocks a
+    birth, a float scales its ratio.  :meth:`_death_weight` weights deaths;
+    :meth:`_add` and :meth:`_delete` keep their bookkeeping on acceptance."""
 
     def __init__(self, window, z, laws, rng, cluster=False):
         self.z, self.laws, self.rng = z, laws, rng
@@ -397,10 +397,6 @@ class _BirthDeathChain:
     @property
     def acceptance_rate(self):
         return self.accepted / self.proposals if self.proposals else 0.0
-
-    def _birth_weight(self, i, x, r):
-        """Factor on the birth ratio, or None when the birth is blocked."""
-        return 1.0
 
     def _death_weight(self, i, j):
         return 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from wrsim.cli import (ConfigError, ExperimentConfig, derive_seed, sweep_plan,
                        run_experiment, emit_records, load_records,
-                       experiment_schema, main)
+                       experiment_schema, main, EXPERIMENT_KINDS, _KINDS)
 from wrsim.sampling import load_multitype_configuration
 from wrsim.slab import p_from_ncc
 
@@ -73,8 +73,7 @@ class TestConfigValidation:
         # q is fixed for the whole run exactly where the columns are per colour
         law = {"kind": "dirac", "radius": 0.2}
         params = {
-            "slab-renewal": {"n": 10, "k": 0.5, "d": 2, "z": 1.0, "law": law,
-                             "q_bar": 4.0},
+            "slab-renewal": {"n": 10, "k": 0.5, "d": 2, "z": 1.0, "law": law},
             "entropy-certificate": {"q": 2, "alpha": [0.5, 0.5],
                                     "m_side": 4.0, "d": 2, "law": law},
             "condition-check": {"d": 2, "law": law},
@@ -82,7 +81,7 @@ class TestConfigValidation:
         raw = base_config(experiment=kind, params=params,
                           sweep=[{"name": "q", "values": [2, 3]}])
         if kind in ("wr-sample", "phase-sweep", "fk-compare",
-                    "entropy-certificate"):
+                    "entropy-certificate", "slab-renewal"):
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig.from_dict(raw)
             assert err.value.problems == [
@@ -126,10 +125,74 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw)
         assert f"{problem} is not a number" in err.value.problems
 
+    @pytest.mark.parametrize("key, value", [("q", 2), ("q_bar", 2.5)])
+    def test_slab_renewal_takes_no_cluster_weights(self, key, value):
+        # the slab shadows are the Poisson Boolean model's; no weight enters
+        raw = base_config(experiment="slab-renewal", params={
+            "n": 10, "k": 0.5, "d": 2, "z": 1.0,
+            "law": {"kind": "dirac", "radius": 0.2}, key: value})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert err.value.problems == [f"params.{key}: unknown for slab-renewal"]
+
     @pytest.mark.parametrize("kind", ["nope", ["wr-sample"]])
     def test_unknown_experiment(self, kind):
         with pytest.raises(ConfigError, match="experiment must be one of"):
             ExperimentConfig.from_dict(base_config(experiment=kind))
+
+
+_GIBBS = base_config()["params"]
+_ORDERED = {"kind": "ordered", "color": 1, "shell": 1.0}
+_ENTROPY = {"q": 2, "alpha": [0.5, 0.5], "m_side": 4.0, "d": 2,
+            "law": {"kind": "uniform", "low": 0.0, "high": 0.4},
+            "phi_probes": 500}
+_CONDITION = {"d": 2, "law": {"kind": "atom_mixture", "p0": 0.3, "remainder":
+                              {"kind": "pareto", "alpha": 0.5, "xmin": 1.0}}}
+
+# (kind, the optional keys of one entry): (base params, two values of
+# them); keys that only act together share one entry
+OPTIONAL_KEY_CASES = {
+    ("wr-sample", ("boundary",)): (
+        _GIBBS, {"boundary": {"kind": "free"}}, {"boundary": _ORDERED}),
+    ("wr-sample", ("probes",)): (_GIBBS, {"probes": 4}, {"probes": 1024}),
+    ("crcm-sample", ("probes",)): (_GIBBS, {"probes": 4}, {"probes": 1024}),
+    ("domination", ("boundary",)): (
+        _GIBBS, {"boundary": {"kind": "free"}}, {"boundary": _ORDERED}),
+    ("domination", ("threshold",)): (
+        _GIBBS, {"threshold": 0}, {"threshold": 1000}),
+    ("phase-sweep", ("boundary",)): (
+        _GIBBS, {"boundary": {"kind": "free"}}, {"boundary": _ORDERED}),
+    ("entropy-certificate", ("beta", "gamma", "epsilon")): (
+        _ENTROPY, {"beta": 0.95, "gamma": 0.1, "epsilon": 0.2},
+        {"beta": 0.93, "gamma": 0.125, "epsilon": 0.25}),
+    ("entropy-certificate", ("phi_probes",)): (
+        _ENTROPY, {"phi_probes": 100}, {"phi_probes": 4000}),
+    # an atom of 0.3 at zero is below 1/2 but not below 1/5
+    ("condition-check", ("q",)): (_CONDITION, {"q": 2}, {"q": 5}),
+    ("condition-check", ("q_bar", "k")): (
+        _CONDITION, {"q_bar": 2.5, "k": 1.0}, {"q_bar": 5.0, "k": 2.0}),
+}
+
+
+class TestOptionalKeys:
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_optional_key_changes_output(self, kind):
+        # a kind accepts only what its run reads: each optional key needs a
+        # case here, and changing its value changes some record or summary
+        cases = {keys: case for (k, keys), case in OPTIONAL_KEY_CASES.items()
+                 if k == kind}
+        assert set().union(*cases) == _KINDS[kind].optional
+        for keys, (params, *values) in cases.items():
+            outputs = []
+            for value in values:
+                cfg = ExperimentConfig.from_dict({
+                    "experiment": kind, "seed": 3, "replicas": 2, "sweeps": 5,
+                    "params": {**params, **value}})
+                records, summary, _ = run_experiment(cfg)
+                assert all(r["error"] == "" for r in records)
+                # repr, so that NaN cells compare equal
+                outputs.append(repr((records, summary)))
+            assert outputs[0] != outputs[1], keys
 
 
 class TestSweepPlan:
@@ -325,8 +388,7 @@ class TestAllKindsRun:
         records, summary = self.run_kind({
             "experiment": "slab-renewal", "seed": 5, "replicas": 150,
             "params": {"n": 20, "k": 0.5, "d": 2, "z": 4.0,
-                       "law": {"kind": "pareto", "alpha": 0.7, "xmin": 0.3},
-                       "q": 2, "q_bar": 2.5}})
+                       "law": {"kind": "pareto", "alpha": 0.7, "xmin": 0.3}}})
         point = summary["points"][0]
         assert 0.0 < point["p_hat"] <= 1.0
         assert point["n_nonempty"] > 0
@@ -504,6 +566,26 @@ class TestMain:
         ("wr-sample", {"probes": True}),
         ("crcm-sample", {"probes": 100.5}),
         ("entropy-certificate", {"phi_probes": 100.0}),
+        # real parameters are refused as booleans, never read as 1 or 0
+        ("wr-sample", {"z": True}),
+        ("wr-sample", {"z": [0.5, True]}),
+        ("crcm-sample", {"z": True}),
+        ("crcm-sample", {"q": True}),
+        ("slab-renewal", {"n": True}),
+        ("slab-renewal", {"k": True}),
+        ("slab-renewal", {"z": False}),
+        ("wr-sample", {"window": [[0, 0], [3, True]]}),
+        ("wr-sample", {"law": {"kind": "dirac", "radius": True}}),
+        ("slab-renewal", {"law": {"kind": "pareto", "alpha": 0.7,
+                                  "xmin": True}}),
+        ("wr-sample", {"law": {"kind": "atom_mixture", "p0": False,
+                               "remainder": {"kind": "dirac", "radius": 1}}}),
+        ("phase-sweep", {"boundary": {"kind": "ordered", "color": 1,
+                                      "shell": True}}),
+        ("domination", {"threshold": True}),
+        ("entropy-certificate", {"m_side": True}),
+        ("condition-check", {"q_bar": True, "k": 1.0}),
+        ("condition-check", {"q_bar": 2.5, "k": True}),
     ])
     def test_exit_two_on_bad_numeric_param(self, tmp_path, kind, params):
         good = {

@@ -193,21 +193,36 @@ class TestConditionSummary:
         assert "tilde_atom" in out
 
 
+TRANSFORMED_LAWS = [
+    q_tilde_transform(DiracRadius(1.0), 0.5, 2),
+    q_tilde_transform(AtomMixtureRadius(0.3, ParetoRadius(0.5, 1.0)), 0.5, 3),
+]
+
+
 class TestLawSpec:
     def test_round_trip(self):
-        for law in ALL_LAWS:
+        for law in ALL_LAWS + TRANSFORMED_LAWS:
             assert law_from_spec(law.to_spec()) == law
 
     def test_round_trip_keeps_hash_and_repr(self):
-        for law in ALL_LAWS:
+        for law in ALL_LAWS + TRANSFORMED_LAWS:
             back = law_from_spec(law.to_spec())
+            assert back.to_spec() == law.to_spec()
             assert (hash(back), repr(back)) == (hash(law), repr(law))
-        # a transformed law is built, never read from a record; its source is
-        source = AtomMixtureRadius(0.3, ParetoRadius(0.5, 1.0))
-        law = q_tilde_transform(source, 0.5, 3)
-        back = TransformedRadius(law_from_spec(source.to_spec()), law.shift)
-        assert back == law and back.to_spec() == law.to_spec()
-        assert (hash(back), repr(back)) == (hash(law), repr(law))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "dirac", "radius": True},
+        {"kind": "uniform", "low": False, "high": 1.0},
+        {"kind": "pareto", "alpha": 1.5, "xmin": True},
+        {"kind": "atom_mixture", "p0": False,
+         "remainder": {"kind": "exponential", "rate": True}},
+        {"kind": "transformed", "shift": True,
+         "source": {"kind": "dirac", "radius": 1.0}},
+    ], ids=["dirac", "uniform", "pareto", "nested", "transformed"])
+    def test_boolean_field_refused(self, spec):
+        # JSON true is not 1.0, in a config's record or a library caller's
+        with pytest.raises(ValueError, match="takes no booleans"):
+            law_from_spec(spec)
 
     @pytest.mark.parametrize("build", [
         lambda v: DiracRadius(v), lambda v: UniformRadius(v, 1.0),

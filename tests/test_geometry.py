@@ -68,6 +68,13 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window([0, 0], [1])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0, 0], [math.inf, 1]), ([-math.inf, 0], [1, 1])])
+    def test_non_finite_bounds_refused(self, lower, upper):
+        # refused when built, not deep in a chain's sweep length
+        with pytest.raises(ValueError, match="finite"):
+            Window(lower, upper)
+
     def test_volume(self):
         assert Window([0, 0], [2, 3]).volume == 6.0
 
