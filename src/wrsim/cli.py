@@ -135,11 +135,18 @@ class ExperimentConfig:
     def _resolve_points(self):
         """Sampler inputs (laws, boundary, parameter objects) of every sweep
         point, built before any sampling so that a bad value is a config
-        error and not a failed row."""
+        error and not a failed row.  ``params`` alone must resolve too, so
+        that a value a sweep axis shadows is never a bad one."""
+        resolve = _KINDS[self.kind].resolve
         inputs, problems = [], []
+        if self.sweep:
+            try:
+                resolve(self.params)
+            except (ValueError, TypeError, KeyError) as exc:
+                problems.append(f"params: {exc}")
         for pi, point in enumerate(sweep_plan(self)):
             try:
-                inputs.append(_KINDS[self.kind].resolve({**self.params, **point}))
+                inputs.append(resolve({**self.params, **point}))
             except (ValueError, TypeError, KeyError) as exc:
                 where = f"sweep point {pi} {point}" if point else "params"
                 problems.append(f"{where}: {exc}")

@@ -16,6 +16,7 @@ All values are immutable after construction and safe to share across threads.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,7 +25,7 @@ __all__ = ["Window", "Configuration", "meets", "overlap_pairs", "meets_any"]
 
 
 class Window:
-    """Axis-aligned box ``[lower, upper]`` with positive volume."""
+    """Axis-aligned box ``[lower, upper]`` with finite positive volume."""
 
     __slots__ = ("lower", "upper")
 
@@ -35,8 +36,12 @@ class Window:
             raise ValueError("lower/upper must be equal-length vectors")
         if not np.all(lower < upper):
             raise ValueError("window requires lower[i] < upper[i] on every axis")
-        if not np.isfinite([lower, upper]).all():
-            raise ValueError("window bounds must be finite")
+        # in Python floats, which overflow to inf without a warning; an
+        # infinite bound makes a side, and so the volume, infinite or NaN
+        if not 0 < math.prod(u - l for l, u in zip(lower.tolist(),
+                                                   upper.tolist())) < math.inf:
+            raise ValueError("window bounds, sides and volume must be finite, "
+                             "and the volume positive")
         lower.setflags(write=False)
         upper.setflags(write=False)
         self.lower = lower

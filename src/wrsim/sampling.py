@@ -14,18 +14,23 @@ measure q^{N_cc} Poisson(z, Q) / Z plus uniform colouring of components
 (Fortuin-Kasteleyn representation); both must agree in distribution for
 symmetric parameters.
 
-Birth-death kernel (one proposal), with draws in this order:
-  * a colour i uniformly (drawn only when there is more than one), then
-    birth or death with probability 1/2;
-  * birth: a uniform centre, then a radius from Q_i; accepted when a
-    uniform falls below z_i |L| / (n_i + 1), and rejected outright, with no
-    uniform drawn, when the result would not stay authorized;
-  * death: a uniform ball index of colour i, accepted when a uniform falls
-    below n_i / (z_i |L|).
-One sweep is max(1, ceil(sum_i z_i |L|)) proposals.  The cluster chain is
-the one-colour kernel with each ratio multiplied by q^(delta N_cc), where
-delta N_cc is the exact component-count change of the proposal, obtained
-from the affected component only.
+Birth-death kernel (one proposal):
+  * a colour i uniformly, then birth or death with probability 1/2;
+  * birth: a uniform centre and a radius from Q_i, accepted when a uniform
+    falls below z_i |L| / (n_i + 1), and rejected outright when the result
+    would not stay authorized;
+  * death: ball floor(u n_i) of colour i for a uniform u, accepted when a
+    uniform falls below n_i / (z_i |L|).
+One sweep is max(1, ceil(sum_i z_i |L|)) proposals, whose draws are made in
+blocks of at most ``_BLOCK`` proposals.  A block of k proposals draws, in
+this order: k colours (only when there is more than one colour), k
+birth/death coins, k centres, k radii from each colour's law, k death picks
+and k acceptance uniforms, every one of them used or not; proposal t reads
+entry t of each.  Nothing is drawn ahead of a sweep, so code that shares
+the generator between sweeps sees it as the sweeps left it.  The cluster
+chain is the one-colour kernel with each ratio multiplied by
+q^(delta N_cc), where delta N_cc is the exact component-count change of
+the proposal, obtained from the affected component only.
 
 A chain is strictly sequential; parallelise by running independent replicas
 with independently seeded generators.  Emitted configurations are immutable
@@ -63,6 +68,7 @@ __all__ = [
 
 _BATCH = 8192  # multi-type Poisson draws per vectorised rejection round
 _AUTH_CHUNK = 512  # rejection rows tested together, bounding the pair arrays
+_BLOCK = 8192  # chain proposals whose draws are made together, in arrays
 
 
 class RejectionBudgetError(RuntimeError):
@@ -407,33 +413,33 @@ class _BirthDeathChain:
     def _delete(self, i, j):
         self.states[i].remove(j)
 
-    def step(self):
-        rng = self.rng
-        i = int(rng.integers(len(self.z))) if len(self.z) > 1 else 0
-        self.proposals += 1
-        if rng.random() < 0.5:  # birth
-            x = self.lower + rng.random(len(self.sides)) * self.sides
-            r = float(self.laws[i].sample(rng))
-            weight = self._birth_weight(i, x, r)
-            if weight is None:
-                return
-            ratio = self.z[i] * self.volume / (self.states[i].n + 1)
-            if rng.random() < ratio * weight:
-                self.accepted += 1
-                self._add(i, x, r)
-        else:  # death
-            n_i = self.states[i].n
-            if n_i == 0:
-                return
-            j = int(rng.integers(n_i))
-            ratio = n_i / (self.z[i] * self.volume)
-            if rng.random() < ratio * self._death_weight(i, j):
-                self.accepted += 1
-                self._delete(i, j)
-
     def sweep(self):
-        for _ in range(self.proposals_per_sweep):
-            self.step()
+        """One sweep, its draws made block by block in the module
+        docstring's order; proposal t of a block reads entry t of each."""
+        rng, q, d = self.rng, len(self.z), len(self.sides)
+        rates = [z * self.volume for z in self.z]
+        for done in range(0, self.proposals_per_sweep, _BLOCK):
+            k = min(_BLOCK, self.proposals_per_sweep - done)
+            colours = rng.integers(q, size=k)  # draws nothing when q == 1
+            coins = rng.random(k).tolist()
+            centers = self.lower + rng.random((k, d)) * self.sides
+            radii = np.array([law.sample(rng, k) for law in self.laws],
+                             dtype=float)[colours, np.arange(k)].tolist()
+            picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
+            self.proposals += k
+            for i, coin, x, r, pick, u in zip(colours.tolist(), coins, centers,
+                                              radii, picks, uniforms):
+                n = self.states[i].n
+                if coin < 0.5:  # birth
+                    weight = self._birth_weight(i, x, r)
+                    if weight is not None and u < rates[i] / (n + 1) * weight:
+                        self.accepted += 1
+                        self._add(i, x, r)
+                elif n:  # death
+                    j = int(pick * n)
+                    if u < n / rates[i] * self._death_weight(i, j):
+                        self.accepted += 1
+                        self._delete(i, j)
 
     def run(self, sweeps):
         for _ in range(sweeps):

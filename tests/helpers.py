@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from wrsim import sampling
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
 from wrsim.components import connected_components
 from wrsim.geometry import Configuration, Window
@@ -103,53 +104,68 @@ def oracle_params(d, law, q, boundary, seed):
     return GibbsParams.symmetric(q, 0.8, law, window, boundary=cond)
 
 
+def _blocks(per_sweep, sweeps):
+    """Block lengths of ``sweeps`` sweeps of ``per_sweep`` proposals: each
+    sweep cut into blocks of ``sampling._BLOCK``, its last block shorter
+    when the block length does not divide ``per_sweep``."""
+    for _ in range(sweeps):
+        left = per_sweep
+        while left > 0:
+            yield min(left, sampling._BLOCK)
+            left -= sampling._BLOCK
+
+
 def reference_wr_chain(params, sweeps, rng):
     """The birth-death kernel of :mod:`wrsim.sampling`'s docstring, run from
     empty for ``sweeps`` sweeps with a dense scan per birth; returns (state,
     proposals, accepted).
 
     Draws come in the order the kernel states: an ordered boundary's shell,
-    then per proposal the colour, the birth/death coin, a birth's centre
-    (``window.sample_points``) and radius or a death's ball index, and the
-    acceptance uniform.  Each colour keeps its balls in swap-remove order: a
-    death moves the colour's last ball into the freed slot.
+    then per block of k proposals the k colours (only when q > 1), k
+    birth/death coins, k centres (``window.sample_points``), k radii from
+    each colour's law, k death picks and k acceptance uniforms; proposal t
+    reads entry t of each.  A death takes ball floor(pick * n_i) of its
+    colour, and each colour keeps its balls in swap-remove order: a death
+    moves the colour's last ball into the freed slot.
     """
-    window, d = params.window, params.window.dimension
+    window, d, q = params.window, params.window.dimension, params.q
     outside = [(c.centers, c.radii) for c in build_boundary(params, rng).configs]
-    centers = [[] for _ in range(params.q)]
-    radii = [[] for _ in range(params.q)]
+    centers = [[] for _ in range(q)]
+    radii = [[] for _ in range(q)]
     proposals = accepted = 0
-    for _ in range(sweeps * max(1, math.ceil(params.expected_count))):
-        i = int(rng.integers(params.q))
-        proposals += 1
-        if rng.random() < 0.5:
-            x = window.sample_points(rng, 1)[0]
-            r = float(params.laws[i].sample(rng))
-            blocked = False
-            for j in range(params.q):
-                if j == i:
-                    continue
-                for c, rad in ((np.array(centers[j]).reshape(-1, d),
-                                np.array(radii[j])), outside[j]):
-                    d2 = ((c - x) ** 2).sum(axis=1)
-                    blocked |= bool((d2 <= (rad + r) ** 2).any())
-            if blocked:
-                continue
+    for k in _blocks(max(1, math.ceil(params.expected_count)), sweeps):
+        colours = rng.integers(q, size=k) if q > 1 else np.zeros(k, dtype=int)
+        coins = rng.random(k)
+        xs = window.sample_points(rng, k)
+        rs = [params.laws[c].sample(rng, k) for c in range(q)]
+        picks = rng.random(k)
+        uniforms = rng.random(k)
+        for t in range(k):
+            i = int(colours[t])
             n_i = len(radii[i])
-            if rng.random() < params.z[i] * window.volume / (n_i + 1):
-                centers[i].append(x)
-                radii[i].append(r)
-                accepted += 1
-        else:
-            n_i = len(radii[i])
-            if n_i == 0:
-                continue
-            j = int(rng.integers(n_i))
-            if rng.random() < n_i / (params.z[i] * window.volume):
-                last_c, last_r = centers[i].pop(), radii[i].pop()
-                if j < n_i - 1:
-                    centers[i][j], radii[i][j] = last_c, last_r
-                accepted += 1
+            proposals += 1
+            if coins[t] < 0.5:
+                x, r = xs[t], float(rs[i][t])
+                blocked = False
+                for j in range(q):
+                    if j == i:
+                        continue
+                    for c, rad in ((np.array(centers[j]).reshape(-1, d),
+                                    np.array(radii[j])), outside[j]):
+                        d2 = ((c - x) ** 2).sum(axis=1)
+                        blocked |= bool((d2 <= (rad + r) ** 2).any())
+                if not blocked and (uniforms[t]
+                                    < params.z[i] * window.volume / (n_i + 1)):
+                    centers[i].append(x)
+                    radii[i].append(r)
+                    accepted += 1
+            elif n_i > 0:
+                j = math.floor(picks[t] * n_i)
+                if uniforms[t] < n_i / (params.z[i] * window.volume):
+                    last_c, last_r = centers[i].pop(), radii[i].pop()
+                    if j < n_i - 1:
+                        centers[i][j], radii[i][j] = last_c, last_r
+                    accepted += 1
     state = MultiTypeConfiguration(
         [Configuration(np.array(c).reshape(-1, d), np.array(r, dtype=float))
          for c, r in zip(centers, radii)])
@@ -161,36 +177,42 @@ def reference_cluster_chain(window, z, law, q, sweeps, rng):
     ratios times q^(delta N_cc)), run from empty for ``sweeps`` sweeps;
     returns (state, proposals, accepted, N_cc of the state).
 
-    Draws come in the order of :func:`reference_wr_chain` without the colour
-    (there is one): the coin, a birth's centre and radius or a death's ball
-    index, and the acceptance uniform.  delta N_cc is the change of
-    :func:`bfs_ncc_oracle` between the state and the proposed state; a death
-    moves the last ball into the freed slot.
+    Draws come in the order of :func:`reference_wr_chain` without the
+    colours (there is one): per block of k proposals, k coins, k centres, k
+    radii, k death picks and k acceptance uniforms.  delta N_cc is the
+    change of :func:`bfs_ncc_oracle` between the state and the proposed
+    state; a death of ball floor(pick * n) moves the last ball into the
+    freed slot.
     """
     d = window.dimension
     centers, radii = np.empty((0, d)), np.empty(0)
     n_cc = proposals = accepted = 0
-    for _ in range(sweeps * max(1, math.ceil(z * window.volume))):
-        proposals += 1
-        n = len(radii)
-        if rng.random() < 0.5:
-            x = window.sample_points(rng, 1)[0]
-            r = float(law.sample(rng))
-            new_c, new_r = np.vstack([centers, x]), np.append(radii, r)
-            ratio = z * window.volume / (n + 1)
-        else:
-            if n == 0:
+    for k in _blocks(max(1, math.ceil(z * window.volume)), sweeps):
+        coins = rng.random(k)
+        xs = window.sample_points(rng, k)
+        rs = law.sample(rng, k)
+        picks = rng.random(k)
+        uniforms = rng.random(k)
+        for t in range(k):
+            proposals += 1
+            n = len(radii)
+            if coins[t] < 0.5:
+                new_c = np.vstack([centers, xs[t]])
+                new_r = np.append(radii, float(rs[t]))
+                ratio = z * window.volume / (n + 1)
+            elif n > 0:
+                j = math.floor(picks[t] * n)
+                order = np.arange(n - 1)
+                if j < n - 1:
+                    order[j] = n - 1
+                new_c, new_r = centers[order], radii[order]
+                ratio = n / (z * window.volume)
+            else:
                 continue
-            j = int(rng.integers(n))
-            order = np.arange(n - 1)
-            if j < n - 1:
-                order[j] = n - 1
-            new_c, new_r = centers[order], radii[order]
-            ratio = n / (z * window.volume)
-        new_cc, _ = bfs_ncc_oracle(Configuration(new_c, new_r))
-        if rng.random() < ratio * q ** (new_cc - n_cc):
-            centers, radii, n_cc = new_c, new_r, new_cc
-            accepted += 1
+            new_cc, _ = bfs_ncc_oracle(Configuration(new_c, new_r))
+            if uniforms[t] < ratio * q ** (new_cc - n_cc):
+                centers, radii, n_cc = new_c, new_r, new_cc
+                accepted += 1
     return Configuration(centers, radii), proposals, accepted, n_cc
 
 

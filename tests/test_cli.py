@@ -602,6 +602,23 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert not os.path.exists(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("bad", ["x", True])
+    def test_exit_two_on_bad_param_a_sweep_axis_shadows(self, tmp_path,
+                                                        capsys, bad):
+        # the z axis replaces params' z at every point, so nothing would
+        # read the bad value; it is refused all the same
+        raw = {"experiment": "slab-renewal", "seed": 5, "replicas": 2,
+               "out": str(tmp_path / "bad"),
+               "params": {"n": 10, "k": 0.5, "d": 2, "z": bad,
+                          "law": {"kind": "dirac", "radius": 0.2}},
+               "sweep": [{"name": "z", "values": [4.0, 8.0]}]}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert not os.path.exists(tmp_path / "bad.csv")
+        assert not os.path.exists(tmp_path / "bad.meta.json")
+        assert "params: " in capsys.readouterr().err
+        raw["params"]["z"] = 1.0
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+
     @pytest.mark.parametrize("kind, field, text", [
         ("crcm-sample", '"q": 2', '"q": NaN'),
         ("crcm-sample", '"z": 0.5', '"z": NaN'),

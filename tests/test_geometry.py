@@ -69,11 +69,18 @@ class TestWindow:
             Window([0, 0], [1])
 
     @pytest.mark.parametrize("lower, upper", [
-        ([0, 0], [math.inf, 1]), ([-math.inf, 0], [1, 1])])
+        ([0, 0], [math.inf, 1]), ([-math.inf, 0], [1, 1]),
+        ([-math.inf, 0], [math.inf, 1]),
+        ([0, -1e308], [1, 1e308]),  # finite bounds, a side overflows
+        ([0, 0], [1e200, 1e200]),  # finite sides, the volume overflows
+        ([0, 0], [1e-200, 1e-200])])  # the volume underflows to zero
     def test_non_finite_bounds_refused(self, lower, upper):
         # refused when built, not deep in a chain's sweep length
         with pytest.raises(ValueError, match="finite"):
             Window(lower, upper)
+
+    def test_largest_finite_volume_accepted(self):
+        assert Window([0, 0], [1e154, 1e154]).volume == pytest.approx(1e308)
 
     def test_volume(self):
         assert Window([0, 0], [2, 3]).volume == 6.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wrsim import sampling
 from wrsim.geometry import Configuration, Window, _sq_dist
 from wrsim.distributions import (AtomMixtureRadius, DiracRadius,
                                  ParetoRadius, UniformRadius)
@@ -326,43 +327,66 @@ class TestWRChain:
         assert is_authorized(merged)
 
 
+def same_next_draw(a, b):
+    """True iff two generators give the same next draw: a run that drew
+    more or fewer numbers than its reference, or drew ahead, fails."""
+    return a.random() == b.random()
+
+
 class TestWRChainOracle:
     """Same seed, same result: the chain against a dense transcription of
     the documented kernel (``helpers.reference_wr_chain``)."""
+
+    def check(self, params, seed, sweeps):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chain = WidomRowlinsonChain(params, rng)
+        chain.run(sweeps)
+        ref, proposals, accepted = reference_wr_chain(params, sweeps, ref_rng)
+        assert (chain.proposals, chain.accepted) == (proposals, accepted)
+        assert accepted > 0
+        for got, want in zip(chain.state().configs, ref.configs):
+            assert got.centers.tobytes() == want.centers.tobytes()
+            assert got.radii.tobytes() == want.radii.tobytes()
+        assert same_next_draw(rng, ref_rng)
 
     @pytest.mark.parametrize("boundary", ["free", "ordered", "explicit"])
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_kernel(self, d, law, q, boundary):
-        params = oracle_params(d, law, q, boundary, seed=60 + d)
-        seed = 70 + 10 * d + q
-        chain = WidomRowlinsonChain(params, np.random.default_rng(seed))
-        chain.run(25)
-        ref, proposals, accepted = reference_wr_chain(
-            params, 25, np.random.default_rng(seed))
-        assert (chain.proposals, chain.accepted) == (proposals, accepted)
-        assert accepted > 0
-        for got, want in zip(chain.state().configs, ref.configs):
-            assert got.centers.tobytes() == want.centers.tobytes()
-            assert got.radii.tobytes() == want.radii.tobytes()
+        self.check(oracle_params(d, law, q, boundary, seed=60 + d),
+                   70 + 10 * d + q, 25)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("law", ORACLE_LAWS[1:3], ids=lambda l: repr(l))
+    def test_blocks_cut_a_sweep(self, monkeypatch, law, block):
+        # a sweep of 22 proposals drawn in 22 blocks, or in 8 whose last
+        # one is shorter
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        self.check(oracle_params(2, law, 3, "ordered", seed=62), 93, 12)
+
+    def test_one_colour_draws_no_colours(self):
+        self.check(oracle_params(2, ORACLE_LAWS[2], 1, "free", seed=62), 94, 25)
+
+
+def test_death_pick_names_a_ball():
+    # a death takes ball floor(u n) for a uniform u < 1: the largest double
+    # below 1 must pick the last ball, never one past it
+    u = np.nextafter(1.0, 0.0)
+    n = np.concatenate([np.arange(1, 2 ** 20 + 1), 2.0 ** np.arange(53)])
+    assert np.array_equal(np.floor(u * n), n - 1)
 
 
 class TestCRCMChainOracle:
     """Same seed, same result: the cluster chain against a dense
     transcription of its kernel (``helpers.reference_cluster_chain``)."""
 
-    @pytest.mark.parametrize("q", [1, 1.7, 2, 3])
-    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_reference_kernel(self, d, law, q):
-        window = oracle_params(d, law, 1, "free", seed=0).window
-        seed = 80 + 10 * d + int(10 * q)
-        chain = RandomClusterChain(window, 0.8, law, q,
-                                   np.random.default_rng(seed))
-        chain.run(25)
+    def check(self, window, law, q, seed, sweeps):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chain = RandomClusterChain(window, 0.8, law, q, rng)
+        chain.run(sweeps)
         ref, proposals, accepted, n_cc = reference_cluster_chain(
-            window, 0.8, law, q, 25, np.random.default_rng(seed))
+            window, 0.8, law, q, sweeps, ref_rng)
         assert (chain.proposals, chain.accepted) == (proposals, accepted)
         assert accepted > 0
         assert chain.state_n_cc() == n_cc
@@ -371,6 +395,21 @@ class TestCRCMChainOracle:
         got = chain.state()
         assert got.centers.tobytes() == ref.centers.tobytes()
         assert got.radii.tobytes() == ref.radii.tobytes()
+        assert same_next_draw(rng, ref_rng)
+
+    @pytest.mark.parametrize("q", [1, 1.7, 2, 3])
+    @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_kernel(self, d, law, q):
+        window = oracle_params(d, law, 1, "free", seed=0).window
+        self.check(window, law, q, 80 + 10 * d + int(10 * q), 25)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("law", ORACLE_LAWS[2:], ids=lambda l: repr(l))
+    def test_blocks_cut_a_sweep(self, monkeypatch, law, block):
+        # a sweep of 8 proposals drawn in 8 blocks, or in 3 (3 + 3 + 2)
+        monkeypatch.setattr(sampling, "_BLOCK", block)
+        self.check(Window.cube(3.0, 2), law, 2, 95, 12)
 
 
 class TestCRCMChain:
@@ -503,7 +542,12 @@ class TestCRCMExactness:
     every sweep, on chains whose deaths split components."""
 
     @pytest.mark.parametrize("args, sweeps", [
-        (slab_chain_args(n=16.0, z=6.0, law=ParetoRadius(0.5, 0.5)), 25),
+        # z = 0.5: at z = 6 the heavy tail joins the whole slab into one
+        # component once it has filled, so deaths met splits only in the
+        # first five sweeps from empty, and only on about a third of 120
+        # seeds within 100 sweeps; at z = 0.5 each of 300 seeds met one
+        # within 100 sweeps, with scalar draws and with block draws alike
+        (slab_chain_args(n=16.0, z=0.5, law=ParetoRadius(0.5, 0.5)), 100),
         (slab_chain_args(n=30.0, z=3.0, law=DiracRadius(0.8)), 10),
         ((Window.cube(3.0, 3), 3.0, ParetoRadius(0.5, 0.05), 2.0), 30),
         ((Window.cube(3.0, 2), 1.5, UniformRadius(0.1, 0.7), 1.7), 40),
@@ -518,17 +562,22 @@ class TestCRCMExactness:
 
     def test_overlap_matrix_grows_with_the_buffer(self):
         # from empty past 128 balls: checked right after every doubling of
-        # the capacity and after every sweep
+        # the capacity (the accepted birth that made it) and after every
+        # sweep
         chain = RandomClusterChain(Window.cube(12.0, 2), 1.0,
                                    UniformRadius(0.2, 0.6), 2.0,
                                    np.random.default_rng(32))
         seen = set()
+        add = chain._add
+
+        def checked(i, x, r):
+            add(i, x, r)
+            if len(chain.adj) not in seen:
+                seen.add(len(chain.adj))
+                assert_labels_exact(chain)
+        chain._add = checked
         for _ in range(10):
-            for _ in range(chain.proposals_per_sweep):
-                chain.step()
-                if len(chain.adj) not in seen:
-                    seen.add(len(chain.adj))
-                    assert_labels_exact(chain)
+            chain.sweep()
             assert_labels_exact(chain)
         assert seen >= {8, 16, 32, 64, 128, 256}
         assert len(chain.adj) == len(chain.labels) == len(chain.states[0].radii)
@@ -540,18 +589,21 @@ class TestCRCMExactness:
 
 
 class _ScriptedRng:
-    """Stands in for a generator: ``random`` and ``integers`` return the
-    scripted values in order."""
+    """Stands in for a generator: each ``random`` call returns the next
+    scripted array, which must have the requested shape; the one colour of
+    a cluster chain takes no draw."""
 
-    def __init__(self, randoms, integers):
-        self.randoms = list(randoms)
-        self.ints = list(integers)
+    def __init__(self, *arrays):
+        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
 
-    def random(self):
-        return self.randoms.pop(0)
+    def random(self, size):
+        out = self.arrays.pop(0)
+        assert out.shape == np.empty(size).shape
+        return out
 
-    def integers(self, n):
-        return self.ints.pop(0)
+    def integers(self, high, size):
+        assert high == 1
+        return np.zeros(size, dtype=np.int64)
 
 
 class TestDeathSplit:
@@ -610,13 +662,15 @@ class TestDeathSplit:
                                               list(range(7, 13)))
 
     def test_accepted_split_keeps_labels_exact(self):
-        # star plus a separate pair; a death of the centre is proposed with
-        # uniforms that force acceptance
+        # star plus a separate pair; a one-proposal sweep proposes the death
+        # of the centre with uniforms that force acceptance
         centers = [[5, 5], [6, 5], [5, 6], [4, 5], [1, 1], [1.5, 1]]
-        chain = loaded_chain(centers, [0.5] * 6,
-                             rng=_ScriptedRng([0.9, 0.0], [0]))
+        rng = _ScriptedRng([0.9], [[0.5, 0.5]], [0.0], [0.0])  # coin, centre,
+        chain = loaded_chain(centers, [0.5] * 6, rng=rng)    # pick, accept
+        chain.proposals_per_sweep = 1
         assert chain.n_components == 2
-        chain.step()
+        chain.sweep()
+        assert not rng.arrays  # the Dirac law draws no radius
         assert chain.n == 5 and chain.n_components == 4
         assert_labels_exact(chain)
         # the star had label 0 and the pair label 4; two leaves were closed
