@@ -824,3 +824,17 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 0
         got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
         assert got == (GOLDEN / "wr_pareto_q3_ordered.balls.txt").read_bytes()
+
+    def test_wr_sample_large_window_dump_matches_golden_bytes(self, tmp_path):
+        # a q = 2 WR chain on [0,30]^2 with Pareto(1.2, 0.2) radii: 1800
+        # proposals per sweep against about 400 balls per colour, so every
+        # block's births are checked against conflict lists rather than by
+        # the direct scan, and the committed dump fixes each such decision
+        raw = {"experiment": "wr-sample", "seed": 7, "sweeps": 3,
+               "out": str(tmp_path / "golden"), "dump_samples": True,
+               "params": {"q": 2, "z": 1.0,
+                          "law": {"kind": "pareto", "alpha": 1.2, "xmin": 0.2},
+                          "window": [[0, 0], [30, 30]]}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
+        assert got == (GOLDEN / "wr_pareto_q2_large.balls.txt").read_bytes()
