@@ -2,8 +2,13 @@
 
 Axis-aligned windows, ball configurations as centre and radius arrays, the
 closed-ball predicate :func:`meets` behind every overlap test, and the two
-k-d tree queries: overlapping pairs within one ball set, and which balls of
-one set meet some ball of another.
+neighbour queries: overlapping pairs within one ball set
+(:func:`overlap_pairs`, which also builds the hard-core chain's per-block
+conflict lists), and which balls of one set meet some ball of another
+(:func:`meets_any`).  Both put the balls up to the 90th-percentile radius in
+one k-d tree and test each larger ball directly against the balls in its
+strip along the first axis, vectorised over groups of strips of bounded
+size.
 
 Conventions
 -----------
@@ -144,6 +149,7 @@ def meets(ca, ra, cb, rb):
 
 # radius quantile h splitting balls into k-d tree queries and direct scans
 _SPLIT_QUANTILE = 0.9
+_CHUNK = 1 << 12  # strip candidates a direct scan tests together
 
 
 def _inflated(distance):
@@ -152,15 +158,45 @@ def _inflated(distance):
     return distance * (1.0 + 1e-9) + 1e-12
 
 
+def _strip_meets(ca, ra, cb, rb, w):
+    """The meeting pairs (i, j) of a ball i of a and a ball j of b whose
+    centres lie within ``w[j]`` of each other along the first axis (j's
+    strip, found by bisection on a sorted once).  Yielded in groups of whole
+    strips holding about ``_CHUNK`` candidates, a longer strip being a group
+    of its own, so that memory stays bounded and a caller may stop early."""
+    order = np.argsort(ca[:, 0])
+    sa, sr = ca.take(order, axis=0), ra[order]  # a in first-axis order
+    lo = np.searchsorted(sa[:, 0], cb[:, 0] - w)
+    size = np.searchsorted(sa[:, 0], cb[:, 0] + w, side="right") - lo
+    end = np.cumsum(size)
+    start = 0
+    while start < len(size):
+        base = int(end[start] - size[start])  # candidates before the group
+        stop = max(start + 1, int(np.searchsorted(end, base + _CHUNK,
+                                                  side="right")))
+        n = size[start:stop]
+        j = np.repeat(np.arange(start, stop), n)
+        pos = np.arange(len(j)) + np.repeat(lo[start:stop] + base
+                                            - (end[start:stop] - n), n)
+        near = meets(sa.take(pos, axis=0), sr[pos], cb.take(j, axis=0), rb[j])
+        yield order[pos[near]], j[near]
+        start = stop
+
+
 def overlap_pairs(config):
     """All unordered index pairs (i, j), i < j, of overlapping balls, in
     lexicographic order.
 
     Balls of radius at most ``h``, the 90th-percentile radius, are paired by
-    one k-d tree query at distance ``2h``, inflated so that exact tangency
-    survives rounding; each larger ball is compared with every ball.  That
-    candidate set contains every overlapping pair whatever the radius tail,
-    and the exact test :func:`meets` keeps the true ones.
+    one k-d tree query at distance ``2h``.  Each larger ball is tested
+    directly against the small balls in its strip ``|x_0 - c_0| <= r + h``
+    of the first axis, and against the large balls that rank below it by
+    (radius, index) in its strip ``|x_0 - c_0| <= 2r``.  So every pair is a
+    candidate exactly once, whatever the radius tail, and the strips are
+    tested in groups of about ``_CHUNK`` candidates, so memory stays
+    bounded.  Tree distance and strips are inflated so that exact tangency
+    survives rounding, and the exact test :func:`meets` keeps the true
+    pairs.
     """
     n = len(config)
     if n < 2:
@@ -168,17 +204,30 @@ def overlap_pairs(config):
     centers, radii = config.centers, config.radii
     h = float(np.quantile(radii, _SPLIT_QUANTILE))
     small = np.flatnonzero(radii <= h)
-    found = cKDTree(centers[small]).query_pairs(_inflated(2.0 * h),
-                                                output_type="ndarray")
-    keys = [small[found[:, 0]] * n + small[found[:, 1]]]
-    for b in np.flatnonzero(radii > h):
-        near = np.flatnonzero(meets(centers, radii, centers[b], radii[b]))
-        near = near[near != b]
-        keys.append(np.minimum(near, b) * n + np.maximum(near, b))
-    keys = np.unique(np.concatenate(keys))
-    i, j = keys // n, keys % n
-    keep = meets(centers[i], radii[i], centers[j], radii[j])
-    return np.stack([i[keep], j[keep]], axis=1)
+    cs, rs = centers.take(small, axis=0), radii[small]
+    found = cKDTree(cs).query_pairs(_inflated(2.0 * h), output_type="ndarray")
+    keys = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(found), _CHUNK):
+        i, j = found[lo:lo + _CHUNK].T
+        keep = meets(cs.take(i, axis=0), rs[i], cs.take(j, axis=0), rs[j])
+        keys.append(small[i[keep]] * n + small[j[keep]])
+    large = np.flatnonzero(radii > h)
+    if len(large):
+        cl, rl = centers.take(large, axis=0), radii[large]
+        for i, j in _strip_meets(cs, rs, cl, rl, _inflated(rl + h)):
+            i, j = small[i], large[j]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        rank = np.empty(len(large), dtype=np.int64)
+        rank[np.lexsort((large, rl))] = np.arange(len(large))
+        for i, j in _strip_meets(cl, rl, cl, rl, _inflated(2.0 * rl)):
+            below = rank[i] < rank[j]
+            i, j = large[i[below]], large[j[below]]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = np.concatenate(keys)
+    keys.sort()
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def meets_any(a, b):
@@ -187,11 +236,11 @@ def meets_any(a, b):
 
     The balls of ``b`` above ``h``, its 90th-percentile radius, go first,
     largest first, each tested directly against the balls of ``a`` in its
-    strip ``|x_0 - c_0| <= r + max r_a``, until every ball of ``a`` is hit.
-    A k-d tree over the other balls of ``b`` is queried by each unhit ball
-    of ``a`` at ``r_a + h``.  Strip and query are inflated so that exact
-    tangency survives rounding; the exact test :func:`meets` keeps the true
-    hits.
+    strip ``|x_0 - c_0| <= r + max r_a``, in groups of strips of about
+    ``_CHUNK`` candidates, until every ball of ``a`` is hit.  A k-d tree
+    over the other balls of ``b`` is queried by each unhit ball of ``a`` at
+    ``r_a + h``.  Strip and query are inflated so that exact tangency
+    survives rounding; the exact test :func:`meets` keeps the true hits.
     """
     hit = np.zeros(len(a), dtype=bool)
     if len(a) == 0 or len(b) == 0:
@@ -199,20 +248,18 @@ def meets_any(a, b):
     (ca, ra), (cb, rb) = (a.centers, a.radii), (b.centers, b.radii)
     h = float(np.quantile(rb, _SPLIT_QUANTILE))
     large = np.flatnonzero(rb > h)
-    order = np.argsort(ca[:, 0])
-    x0, reach = ca[order, 0], ra.max()
-    for j in large[np.argsort(-rb[large])]:
-        if hit.all():
-            return hit
-        w = _inflated(rb[j] + reach)
-        near = order[np.searchsorted(x0, cb[j, 0] - w):
-                     np.searchsorted(x0, cb[j, 0] + w, side="right")]
-        hit[near] |= meets(ca[near], ra[near], cb[j], rb[j])
+    if len(large):
+        large = large[np.argsort(-rb[large])]
+        cl, rl = cb.take(large, axis=0), rb[large]
+        for i, _ in _strip_meets(ca, ra, cl, rl, _inflated(rl + ra.max())):
+            hit[i] = True
+            if hit.all():
+                return hit
     rem = np.flatnonzero(~hit)
     small = np.flatnonzero(rb <= h)
     found = cKDTree(cb[small]).query_ball_point(ca[rem], _inflated(ra[rem] + h))
     i = np.repeat(rem, [len(f) for f in found])
     j = small[np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
                           count=len(i))]
-    hit[i[meets(ca[i], ra[i], cb[j], rb[j])]] = True
+    hit[i[meets(ca.take(i, axis=0), ra[i], cb.take(j, axis=0), rb[j])]] = True
     return hit

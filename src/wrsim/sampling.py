@@ -32,6 +32,11 @@ chain is the one-colour kernel with each ratio multiplied by
 q^(delta N_cc), where delta N_cc is the exact component-count change of
 the proposal, obtained from the affected component only.
 
+The hard-core chain checks a block's births by a direct scan or against
+per-block conflict lists (see :class:`WidomRowlinsonChain`), whichever its
+cost estimate finds cheaper; both give the same decisions, so the choice
+moves no draw and no output byte.
+
 A chain is strictly sequential; parallelise by running independent replicas
 with independently seeded generators.  Emitted configurations are immutable
 snapshots, safe to share across threads.
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, Window, meets, meets_any
+from .geometry import Configuration, Window, meets, meets_any, overlap_pairs
 from .components import connected_components
 
 __all__ = [
@@ -69,6 +74,12 @@ __all__ = [
 _BATCH = 8192  # multi-type Poisson draws per vectorised rejection round
 _AUTH_CHUNK = 512  # rejection rows tested together, bounding the pair arrays
 _BLOCK = 8192  # chain proposals whose draws are made together, in arrays
+# costs, in listed pairs, that choose a WR block's birth check: a direct
+# scan per birth, per other colour and per present ball, and the fixed part
+# of building the block's conflict lists
+_SCAN_COLOUR = 80.0
+_SCAN_BALL = 1 / 15
+_LIST_FIXED = 6000.0
 
 
 class RejectionBudgetError(RuntimeError):
@@ -387,9 +398,11 @@ class _Buffer:
 
 class _BirthDeathChain:
     """The birth-death kernel of the module docstring, one ball store per
-    colour.  Subclasses define ``_birth_weight(i, x, r)``: None blocks a
-    birth, a float scales its ratio.  :meth:`_death_weight` weights deaths;
-    :meth:`_add` and :meth:`_delete` keep their bookkeeping on acceptance."""
+    colour.  Subclasses define ``_birth_weight(i, x, r)``, called once per
+    birth proposal in proposal order: None blocks the birth, a float scales
+    its ratio.  :meth:`_block` sees each block's draws first;
+    :meth:`_death_weight` weights deaths; :meth:`_add` and :meth:`_delete`
+    keep their bookkeeping on acceptance."""
 
     def __init__(self, window, z, laws, rng, cluster=False):
         self.z, self.laws, self.rng = z, laws, rng
@@ -413,6 +426,9 @@ class _BirthDeathChain:
     def _delete(self, i, j):
         self.states[i].remove(j)
 
+    def _block(self, colours, coins, centers, radii):
+        """Called with a block's draws (arrays) before its first proposal."""
+
     def sweep(self):
         """One sweep, its draws made block by block in the module
         docstring's order; proposal t of a block reads entry t of each."""
@@ -421,14 +437,16 @@ class _BirthDeathChain:
         for done in range(0, self.proposals_per_sweep, _BLOCK):
             k = min(_BLOCK, self.proposals_per_sweep - done)
             colours = rng.integers(q, size=k)  # draws nothing when q == 1
-            coins = rng.random(k).tolist()
+            coins = rng.random(k)
             centers = self.lower + rng.random((k, d)) * self.sides
             radii = np.array([law.sample(rng, k) for law in self.laws],
-                             dtype=float)[colours, np.arange(k)].tolist()
+                             dtype=float)[colours, np.arange(k)]
             picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
             self.proposals += k
-            for i, coin, x, r, pick, u in zip(colours.tolist(), coins, centers,
-                                              radii, picks, uniforms):
+            self._block(colours, coins, centers, radii)
+            for i, coin, x, r, pick, u in zip(colours.tolist(), coins.tolist(),
+                                              centers, radii.tolist(), picks,
+                                              uniforms):
                 n = self.states[i].n
                 if coin < 0.5:  # birth
                     weight = self._birth_weight(i, x, r)
@@ -451,11 +469,38 @@ class WidomRowlinsonChain(_BirthDeathChain):
     """Birth-death Metropolis chain targeting the finite-volume hard-core
     specification: the kernel with a birth blocked when it meets a ball of
     another colour, in the window or in the boundary ``self.boundary``
-    (drawn from ``params`` first)."""
+    (drawn from ``params`` first).
+
+    A block checks its births by a direct scan of the other colours' balls,
+    or against conflict lists.  Call the balls in the window and the
+    boundary when the block starts its *present* balls, and its earlier
+    birth proposals a birth's *earlier candidates*.  A birth's list holds
+    every present ball and earlier candidate of another colour that meets
+    it, from one :func:`~wrsim.geometry.overlap_pairs` call over the present
+    balls and the block's birth proposals.  Each listed ball has an id with
+    an alive flag: a present ball's is set until it dies, a candidate's
+    while it is accepted and not dead, and a per-colour id list follows the
+    ball store's swap-remove.  A birth is blocked iff a listed ball is
+    alive.  The balls alive at a birth are the present balls not yet dead
+    and the earlier candidates accepted and not yet dead, so this is the
+    direct scan's answer, with the same closed-ball test.
+
+    The lists cost a fixed part plus their pairs, estimated as
+    ``N sum_b min(1, V_d (2 r_b)^d / |L|)`` over the N present and proposed
+    balls (about twice the expected pair count, and exact in form for equal
+    radii); a direct scan costs, per birth, a part per other colour and a
+    part per present ball.  A block takes the lists when they cost less,
+    and a block too short to repay the fixed part decides on its proposal
+    count alone, before any array work.
+    """
 
     def __init__(self, params, rng):
         super().__init__(params.window, params.z, params.laws, rng)
         self.boundary = build_boundary(params, rng)
+        self._outside = [(j, b.centers, b.radii)  # the nonempty boundary colours
+                         for j, b in enumerate(self.boundary.configs) if len(b)]
+        self._n_outside = sum(len(r) for _, _, r in self._outside)
+        self._alive = None
 
     # traced per class: a profiler wraps the methods in each class's own dict
     sweep, run = _BirthDeathChain.sweep, _BirthDeathChain.run
@@ -468,15 +513,86 @@ class WidomRowlinsonChain(_BirthDeathChain):
     def total_count(self):
         return int(sum(s.n for s in self.states))
 
+    def _block(self, colours, coins, centers, radii):
+        # choose conflict lists or direct scans, and build the lists; the
+        # last block's lists go first, so that two never share memory
+        self._alive = self._conflicts = self._starts = self._ids = None
+        present = self._n_outside
+        for s in self.states:
+            present += s.n
+        q, k = len(self.states), len(coins)
+        scan = _SCAN_COLOUR * (q - 1) + _SCAN_BALL * present  # per birth
+        if scan * k <= _LIST_FIXED:
+            return
+        d = len(self.sides)
+        stores = ([(j, *s.view()) for j, s in enumerate(self.states)]
+                  + self._outside)  # (colour, centres, radii)
+        births = np.flatnonzero(coins < 0.5)
+        r_all = np.concatenate([r for _, _, r in stores] + [radii[births]])
+        n_all = len(r_all)
+        unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # V_d
+        pairs = n_all * float(np.minimum(
+            1.0, unit * (2.0 * r_all) ** d / self.volume).sum())
+        if pairs + _LIST_FIXED >= scan * len(births):
+            return
+        colour = np.concatenate(
+            [np.full(len(r), j) for j, _, r in stores]
+            + [colours[births]]).astype(np.min_scalar_type(q))
+        a, b = overlap_pairs(Configuration(np.concatenate(
+            [c for _, c, _ in stores] + [centers.take(births, axis=0)]),
+            r_all)).T
+        keep = (b >= present) & (colour[a] != colour[b])  # a comes first
+        # sorted (birth, ball) keys group each birth's list, births in order;
+        # a ball's id is its index here: present balls, then the births
+        key = b[keep]
+        key -= present
+        key *= n_all
+        key += a[keep]
+        del a, b, keep
+        key.sort()
+        birth, ball = np.divmod(key, n_all)
+        self._conflicts = memoryview(ball.astype(np.int32))
+        self._starts = memoryview(np.concatenate(  # by id, from the births
+            [np.zeros(present + 1, dtype=np.int64),
+             np.cumsum(np.bincount(birth, minlength=len(births)))]))
+        self._alive = [True] * present + [False] * len(births)
+        self._birth = present  # the id of the block's next birth
+        self._ids, first = [], 0
+        for s in self.states:
+            self._ids.append(list(range(first, first + s.n)))
+            first += s.n
+
     def _birth_weight(self, i, x, r):
-        for j, outside in enumerate(self.boundary.configs):
-            if j == i:
-                continue
-            for c, rad in (self.states[j].view(),
-                           (outside.centers, outside.radii)):
-                if len(c) and meets(c, rad, x, r).any():
+        alive = self._alive
+        if alive is not None:
+            b = self._birth
+            self._birth = b + 1
+            for j in self._conflicts[self._starts[b]:self._starts[b + 1]]:
+                if alive[j]:
                     return None
+            return 1.0
+        for j, s in enumerate(self.states):
+            if j != i and s.n and meets(*s.view(), x, r).any():
+                return None
+        for j, c, rad in self._outside:
+            if j != i and meets(c, rad, x, r).any():
+                return None
         return 1.0
+
+    def _add(self, i, x, r):
+        self.states[i].append(x, r)
+        if self._alive is not None:
+            b = self._birth - 1  # the birth just checked
+            self._alive[b] = True
+            self._ids[i].append(b)
+
+    def _delete(self, i, j):
+        self.states[i].remove(j)
+        if self._alive is not None:  # swap-remove, as the ball store does
+            ids = self._ids[i]
+            self._alive[ids[j]] = False
+            ids[j] = ids[-1]
+            ids.pop()
 
     def state(self):
         return MultiTypeConfiguration([s.snapshot() for s in self.states])

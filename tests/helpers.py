@@ -90,11 +90,11 @@ ORACLE_LAWS = [DiracRadius(0.4), UniformRadius(0.0, 0.6),
                ParetoRadius(0.5, 0.05), ParetoRadius(1.2, 0.2)]
 
 
-def oracle_params(d, law, q, boundary, seed):
-    """Symmetric chain parameters, z = 0.8, on a cube of volume 6 to 9;
-    ``boundary`` is "free", "ordered" (colour q, shell 1) or "explicit" (a
-    :func:`shell_boundary` drawn from ``seed``)."""
-    window = Window.cube({1: 6.0, 2: 3.0, 3: 2.0}[d], d)
+def oracle_params(d, law, q, boundary, seed, scale=1.0):
+    """Symmetric chain parameters, z = 0.8, on a cube of volume 6 to 9 (its
+    side times ``scale``); ``boundary`` is "free", "ordered" (colour q,
+    shell 1) or "explicit" (a :func:`shell_boundary` drawn from ``seed``)."""
+    window = Window.cube(scale * {1: 6.0, 2: 3.0, 3: 2.0}[d], d)
     cond = BoundaryCondition.free()
     if boundary == "ordered":
         cond = BoundaryCondition.ordered(q, 1.0)

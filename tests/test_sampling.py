@@ -335,7 +335,14 @@ def same_next_draw(a, b):
 
 class TestWRChainOracle:
     """Same seed, same result: the chain against a dense transcription of
-    the documented kernel (``helpers.reference_wr_chain``)."""
+    the documented kernel (``helpers.reference_wr_chain``), every block
+    checking its births by the direct scan."""
+
+    list_fixed = math.inf  # no block repays building conflict lists
+
+    @pytest.fixture(autouse=True)
+    def birth_check(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_LIST_FIXED", self.list_fixed)
 
     def check(self, params, seed, sweeps):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -367,6 +374,51 @@ class TestWRChainOracle:
 
     def test_one_colour_draws_no_colours(self):
         self.check(oracle_params(2, ORACLE_LAWS[2], 1, "free", seed=62), 94, 25)
+
+    @pytest.mark.parametrize("boundary", ["free", "ordered", "explicit"])
+    @pytest.mark.parametrize("law", ORACLE_LAWS[2:], ids=lambda l: repr(l))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_kernel_on_larger_windows(self, d, law,
+                                                        boundary):
+        # 4^d times the volume: 110 to 230 proposals per block, whose lists
+        # hold boundary balls, present balls that die and earlier births
+        self.check(oracle_params(d, law, 2, boundary, seed=64 + d, scale=4.0),
+                   96 + d, 6)
+
+
+class TestWRChainOracleWithLists(TestWRChainOracle):
+    """The same cases, every block checking its births against its conflict
+    lists."""
+
+    list_fixed = -math.inf  # every block builds its lists
+
+
+class TestBirthCheckChoice:
+    """Which birth check the WR chain's blocks pick (the choice never
+    changes a decision, only its cost)."""
+
+    @staticmethod
+    def picks(law, side, z, sweeps):
+        params = GibbsParams.symmetric(2, z, law, Window.cube(side, 2))
+        chain = WidomRowlinsonChain(params, np.random.default_rng(3))
+        lists = []
+        for _ in range(sweeps):
+            chain.sweep()  # one block per sweep here
+            lists.append(chain._alive is not None)
+        return lists
+
+    def test_small_blocks_scan(self):
+        # crossval-small's window: 9 proposals per block
+        assert self.picks(LAW, 3.0, 0.5, 20) == [False] * 20
+
+    def test_large_sparse_blocks_take_lists(self):
+        assert self.picks(ParetoRadius(1.2, 0.2), 30.0, 1.0, 3) == [True] * 3
+        assert self.picks(DiracRadius(0.5), 50.0, 1.0, 2) == [True] * 2
+
+    def test_dense_blocks_scan(self):
+        # candidate pairs grow with z r^d: lists cost more than scans here
+        assert self.picks(ParetoRadius(0.5, 0.05), 30.0, 1.0, 3) == [False] * 3
+        assert self.picks(DiracRadius(2.0), 20.0, 5.0, 3) == [False] * 3
 
 
 def test_death_pick_names_a_ball():
