@@ -186,6 +186,8 @@ def phi_m(law, m_side, d, probes=20000, rng=None, method="auto"):
     """
     if m_side <= 0:
         raise ValueError("m_side must be positive")
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto" and isinstance(law, DiracRadius):

@@ -332,6 +332,8 @@ def sample_wr_rejection_many(params, n_samples, rng, max_attempts=10 ** 8,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     samples, attempts = [], 0
     for counts, centers, radii, ok in _rejection_rounds(params, max_attempts,
                                                         rng, batch):
@@ -352,16 +354,17 @@ def authorized_count(params, attempts, rng):
 
 
 class _Buffer:
-    """Growable ball store with swap-remove deletion, holding with
-    ``cluster`` the cluster chain's ``labels`` and ``adj`` too (else None):
-    every array doubles together and moves its last entry together."""
+    """Growable ball store with swap-remove deletion, holding an int
+    ``labels`` entry per ball and, with ``cluster``, the cluster chain's
+    ``adj`` too (else None): every array doubles together and moves its
+    last entry together."""
 
     __slots__ = ("centers", "radii", "labels", "adj", "n")
 
     def __init__(self, d, cluster=False, cap=8):
         self.centers = np.empty((cap, d))
         self.radii = np.empty(cap)
-        self.labels = np.empty(cap, dtype=np.int64) if cluster else None
+        self.labels = np.empty(cap, dtype=np.int64)
         self.adj = np.zeros((cap, cap), dtype=bool) if cluster else None
         self.n = 0
 
@@ -370,8 +373,8 @@ class _Buffer:
         if n == len(self.radii):
             self.centers = np.concatenate([self.centers, np.empty_like(self.centers)])
             self.radii = np.concatenate([self.radii, np.empty_like(self.radii)])
+            self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
             if self.adj is not None:
-                self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
                 self.adj = np.pad(self.adj, (0, n))
         self.centers[n] = x
         self.radii[n] = r
@@ -382,8 +385,8 @@ class _Buffer:
         if j != m:
             self.centers[j] = self.centers[m]
             self.radii[j] = self.radii[m]
+            self.labels[j] = self.labels[m]
             if self.adj is not None:
-                self.labels[j] = self.labels[m]
                 self.adj[j, :m] = self.adj[m, :m]
                 self.adj[:m, j] = self.adj[:m, m]
                 self.adj[j, j] = True
@@ -476,14 +479,16 @@ class WidomRowlinsonChain(_BirthDeathChain):
     boundary when the block starts its *present* balls, and its earlier
     birth proposals a birth's *earlier candidates*.  A birth's list holds
     every present ball and earlier candidate of another colour that meets
-    it, from one :func:`~wrsim.geometry.overlap_pairs` call over the present
-    balls and the block's birth proposals.  Each listed ball has an id with
-    an alive flag: a present ball's is set until it dies, a candidate's
-    while it is accepted and not dead, and a per-colour id list follows the
-    ball store's swap-remove.  A birth is blocked iff a listed ball is
-    alive.  The balls alive at a birth are the present balls not yet dead
-    and the earlier candidates accepted and not yet dead, so this is the
-    direct scan's answer, with the same closed-ball test.
+    it, from one :func:`~wrsim.geometry.overlap_pairs` call over the block's
+    birth proposals, the latest first, and then the present balls.  A
+    ball's id is its index in that call, so a birth's list is the larger
+    ids paired with it, grouped by the pairs' own order.  Each id has an
+    alive flag: a present ball's is set until it dies, a candidate's while
+    it is accepted and not dead; a window ball keeps its id in its store's
+    ``labels``.  A birth is blocked iff a listed ball is alive.  The balls
+    alive at a birth are the present balls not yet dead and the earlier
+    candidates accepted and not yet dead, so this is the direct scan's
+    answer, with the same closed-ball test.
 
     The lists cost a fixed part plus their pairs, estimated as
     ``N sum_b min(1, V_d (2 r_b)^d / |L|)`` over the N present and proposed
@@ -516,7 +521,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
     def _block(self, colours, coins, centers, radii):
         # choose conflict lists or direct scans, and build the lists; the
         # last block's lists go first, so that two never share memory
-        self._alive = self._conflicts = self._starts = self._ids = None
+        self._alive = self._conflicts = self._starts = None
         present = self._n_outside
         for s in self.states:
             present += s.n
@@ -527,8 +532,8 @@ class WidomRowlinsonChain(_BirthDeathChain):
         d = len(self.sides)
         stores = ([(j, *s.view()) for j, s in enumerate(self.states)]
                   + self._outside)  # (colour, centres, radii)
-        births = np.flatnonzero(coins < 0.5)
-        r_all = np.concatenate([r for _, _, r in stores] + [radii[births]])
+        births = np.flatnonzero(coins < 0.5)[::-1]  # the latest first
+        r_all = np.concatenate([radii[births]] + [r for _, _, r in stores])
         n_all = len(r_all)
         unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # V_d
         pairs = n_all * float(np.minimum(
@@ -536,37 +541,29 @@ class WidomRowlinsonChain(_BirthDeathChain):
         if pairs + _LIST_FIXED >= scan * len(births):
             return
         colour = np.concatenate(
-            [np.full(len(r), j) for j, _, r in stores]
-            + [colours[births]]).astype(np.min_scalar_type(q))
+            [colours[births]] + [np.full(len(r), j) for j, _, r in stores]
+        ).astype(np.min_scalar_type(q))
         a, b = overlap_pairs(Configuration(np.concatenate(
-            [c for _, c, _ in stores] + [centers.take(births, axis=0)]),
+            [centers.take(births, axis=0)] + [c for _, c, _ in stores]),
             r_all)).T
-        keep = (b >= present) & (colour[a] != colour[b])  # a comes first
-        # sorted (birth, ball) keys group each birth's list, births in order;
-        # a ball's id is its index here: present balls, then the births
-        key = b[keep]
-        key -= present
-        key *= n_all
-        key += a[keep]
-        del a, b, keep
-        key.sort()
-        birth, ball = np.divmod(key, n_all)
-        self._conflicts = memoryview(ball.astype(np.int32))
-        self._starts = memoryview(np.concatenate(  # by id, from the births
-            [np.zeros(present + 1, dtype=np.int64),
-             np.cumsum(np.bincount(birth, minlength=len(births)))]))
-        self._alive = [True] * present + [False] * len(births)
-        self._birth = present  # the id of the block's next birth
-        self._ids, first = [], 0
+        # a ball's id is its index here; a birth meets its present balls and
+        # earlier candidates at larger ids, so lists come grouped by birth
+        keep = (a < len(births)) & (colour[a] != colour[b])
+        self._conflicts = memoryview(b[keep].astype(np.int32))
+        self._starts = memoryview(np.searchsorted(
+            a[keep], np.arange(len(births) + 1)))
+        self._alive = [False] * len(births) + [True] * present
+        self._birth = len(births) - 1  # the id of the block's next birth
+        first = len(births)
         for s in self.states:
-            self._ids.append(list(range(first, first + s.n)))
+            s.labels[:s.n] = np.arange(first, first + s.n)
             first += s.n
 
     def _birth_weight(self, i, x, r):
         alive = self._alive
         if alive is not None:
             b = self._birth
-            self._birth = b + 1
+            self._birth = b - 1
             for j in self._conflicts[self._starts[b]:self._starts[b + 1]]:
                 if alive[j]:
                     return None
@@ -580,19 +577,16 @@ class WidomRowlinsonChain(_BirthDeathChain):
         return 1.0
 
     def _add(self, i, x, r):
-        self.states[i].append(x, r)
+        s = self.states[i]
+        s.append(x, r)
         if self._alive is not None:
-            b = self._birth - 1  # the birth just checked
-            self._alive[b] = True
-            self._ids[i].append(b)
+            s.labels[s.n - 1] = self._birth + 1  # the birth just checked
+            self._alive[self._birth + 1] = True
 
     def _delete(self, i, j):
+        if self._alive is not None:
+            self._alive[self.states[i].labels[j]] = False
         self.states[i].remove(j)
-        if self._alive is not None:  # swap-remove, as the ball store does
-            ids = self._ids[i]
-            self._alive[ids[j]] = False
-            ids[j] = ids[-1]
-            ids.pop()
 
     def state(self):
         return MultiTypeConfiguration([s.snapshot() for s in self.states])
@@ -617,7 +611,7 @@ class RandomClusterChain(_BirthDeathChain):
     in the ball store, which grows and swap-removes them with the balls;
     ``adj`` takes capacity^2 bytes: 64 KiB at a capacity of 256 balls,
     16 MiB at 4096.  All of this is skipped when q == 1, where the weight
-    is flat and the target is plain Poisson; both are then None.
+    is flat and the target is plain Poisson; ``adj`` is then None.
     """
 
     def __init__(self, window, z, law, q, rng):
@@ -816,16 +810,29 @@ def dump_multitype_configuration(mc, dest):
 
 
 def load_multitype_configuration(src, q, d):
+    """Read a :func:`dump_multitype_configuration` text dump of ``q`` colours
+    in dimension ``d``; a line that is not a colour in 1..q followed by d + 1
+    numbers raises ValueError naming it."""
+    per_color = [([], []) for _ in range(q)]
     with _opened(src, "r") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    per_color = {c: ([], []) for c in range(1, q + 1)}
-    for row in rows:
-        centers, radii = per_color[int(row[0])]
-        centers.append([float(v) for v in row[1:-1]])
-        radii.append(float(row[-1]))
+        for number, line in enumerate(fh, start=1):
+            row = line.split()
+            if not row:
+                continue
+            try:
+                color = int(row[0])
+                ball = [float(v) for v in row[1:]]
+            except ValueError:
+                color = 0
+            if not 1 <= color <= q or len(row) != d + 2:
+                raise ValueError(f"line {number}: {line.strip()!r} is not a "
+                                 f"colour in 1..{q} and {d + 1} numbers")
+            centers, radii = per_color[color - 1]
+            centers.append(ball[:-1])
+            radii.append(ball[-1])
     return MultiTypeConfiguration(
-        Configuration(centers or np.empty((0, d)), radii)
-        for centers, radii in per_color.values())
+        Configuration(np.reshape(np.array(centers, dtype=float), (-1, d)), radii)
+        for centers, radii in per_color)
 
 
 def write_run_metadata(dest, record):

@@ -40,6 +40,12 @@ class TestPhi:
         value, se = phi_m(law, m, d, probes=200000, rng=np.random.default_rng(1))
         assert abs(value - exact) < 4 * se + 1e-3
 
+    @pytest.mark.parametrize("probes", [0, -5])
+    def test_probes_below_one_is_refused(self, probes):
+        with pytest.raises(ValueError, match="probes must be >= 1"):
+            phi_m(UniformRadius(0.0, 1.0), 3.0, 2, probes=probes,
+                  rng=np.random.default_rng(0), method="mc")
+
 
 class TestPsi:
     def test_zero_at_origin(self):

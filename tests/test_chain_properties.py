@@ -1,7 +1,9 @@
 """Property test: the birth-death chain's state stays authorized, against its
 materialised boundary, after every sweep, for d = 1..3, light and heavy
 radius tails, q = 2 and 3, free, ordered and explicit boundaries, and each
-birth check (direct scan or conflict lists) forced."""
+birth check (direct scan or conflict lists) forced; after a block that built
+lists, every stored ball's id is alive and distinct, and the alive ids are
+the window and boundary balls."""
 
 import math
 
@@ -22,6 +24,12 @@ def check_stays_authorized(list_fixed, d, law, q, boundary, seed, scale):
         for _ in range(12):
             chain.sweep()
             assert is_authorized(chain.state(), chain.boundary)
+            if chain._alive is not None:  # the last block built lists
+                ids = np.concatenate([s.labels[:s.n] for s in chain.states])
+                assert all(chain._alive[i] for i in ids)
+                assert len(np.unique(ids)) == len(ids)
+                assert (sum(chain._alive)
+                        == chain.total_count + chain.boundary.total_count())
 
 
 cases = given(st.integers(1, 3), st.sampled_from(ORACLE_LAWS),

@@ -42,6 +42,10 @@ def configurations(draw):
 def test_pairs_and_labels_match_oracles(cfg):
     pairs = overlap_pairs(cfg)
     assert set(map(tuple, pairs.tolist())) == all_pairs_oracle(cfg)
+    # (i, j), i < j, in lexicographic order: the WR chain's conflict lists
+    # read each ball's pairs as one run
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+    assert pairs.tolist() == sorted(pairs.tolist())
 
     lab = connected_components(cfg)
     n_oracle, labels_oracle = bfs_ncc_oracle(cfg)

@@ -130,6 +130,13 @@ class TestRejection:
                     for _ in range(200)]
         assert np.mean(attempts) < 1.2
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_refused(self, batch):
+        params = GibbsParams.symmetric(2, 0.5, LAW, WINDOW)
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            sample_wr_rejection_many(params, 1, np.random.default_rng(0),
+                                     batch=batch)
+
     def test_budget_error_carries_attempts(self):
         # radii so large that any two cross-colour balls conflict
         params = GibbsParams.symmetric(2, 30.0, DiracRadius(10.0),
@@ -881,3 +888,12 @@ class TestDumps:
         assert back.dimension == 3
         assert np.array_equal(back.centers, cfg.centers)
         assert np.array_equal(back.radii, cfg.radii)
+
+    @pytest.mark.parametrize("line", [
+        "3 0.5 0.5 0.1", "0 0.5 0.5 0.1",  # colours outside 1..q
+        "1 0.5 0.1", "1 0.5 0.5 0.5 0.1",  # too few or too many columns
+        "x 0.5 0.5 0.1", "1 0.5 y 0.1"])  # not numbers
+    def test_bad_line_is_named(self, line):
+        text = "1 1.0 1.0 0.2\n\n" + line + "\n"
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_multitype_configuration(io.StringIO(text), 2, 2)
