@@ -838,3 +838,35 @@ class TestMain:
         assert main(["--config", self.write_config(tmp_path, raw)]) == 0
         got = (tmp_path / "golden.p000r000.balls.txt").read_bytes()
         assert got == (GOLDEN / "wr_pareto_q2_large.balls.txt").read_bytes()
+
+    # three slab-renewal runs whose CSV and meta summary are committed:
+    # d = 2 Pareto(0.7, 0.3) radii with a z = 1e-9 point where every replica
+    # draws an empty slab, d = 3 exponential radii whose shadows are often
+    # empty (r below sqrt(2) k), and d = 1 Dirac radii, where the shadow is
+    # the radius itself.  Each fixes the window volume behind every Poisson
+    # count, the shadow component counts and both right-edge flags.
+    SLAB_GOLDEN = {
+        "slab_d2_pareto": ({"n": 8, "k": 0.3, "d": 2, "z": 3.0,
+                            "law": {"kind": "pareto", "alpha": 0.7,
+                                    "xmin": 0.3}},
+                           [{"name": "z", "values": [1e-9, 3.0, 6.0]}]),
+        "slab_d3_exponential": ({"n": 6, "k": 0.2, "d": 3, "z": 20.0,
+                                 "law": {"kind": "exponential", "rate": 2.0}},
+                                []),
+        "slab_d1_dirac": ({"n": 8, "k": 1.0, "d": 1, "z": 0.6,
+                           "law": {"kind": "dirac", "radius": 0.4}},
+                          [{"name": "n", "values": [4.0, 8.0]}]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SLAB_GOLDEN))
+    def test_slab_renewal_matches_golden_bytes(self, tmp_path, name):
+        params, sweep = self.SLAB_GOLDEN[name]
+        raw = {"experiment": "slab-renewal", "seed": 3, "replicas": 12,
+               "out": str(tmp_path / name), "params": params, "sweep": sweep}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (GOLDEN / f"{name}.csv").read_bytes()
+        summary = json.loads(
+            (tmp_path / f"{name}.meta.json").read_text())["summary"]
+        assert (json.dumps(summary, indent=2, sort_keys=True) + "\n"
+                == (GOLDEN / f"{name}.summary.json").read_text())
