@@ -57,8 +57,7 @@ from .sampling import (GibbsParams, BoundaryCondition, WidomRowlinsonChain,
                        dump_multitype_configuration, write_run_metadata)
 from .analysis import (EntropyBoundInputs, EstimationError, phi_m,
                        small_z_threshold, domination_test)
-from .slab import (SlabParams, sample_slab, n_cc_right, reaches_right_edge,
-                   p_from_ncc)
+from .slab import SlabParams, sample_slab, merged_intervals, p_from_ncc
 
 __all__ = [
     "ConfigError",
@@ -484,16 +483,18 @@ def _run_domination(cfg, inputs, rng):
 def _run_slab_renewal(cfg, inputs, rng):
     params, law_cell = inputs
     config = sample_slab(params, rng)
+    intervals = merged_intervals(config, params)
+    # the last interval ends at the largest shadow end
+    end = float(intervals[-1, 1]) if len(intervals) else -np.inf
     row = {
         "n": params.n,
         "k": params.k,
         "z": params.z,
         "law": law_cell,
         "count": len(config),
-        "n_cc_right": n_cc_right(config, params),
-        "right_edge_reached": int(reaches_right_edge(config, params)),
-        "right_edge_reached_half": int(
-            reaches_right_edge(config, params, edge=params.n / 2.0)),
+        "n_cc_right": len(intervals),
+        "right_edge_reached": int(end >= params.n),
+        "right_edge_reached_half": int(end >= params.n / 2.0),
     }
     return [row], None
 

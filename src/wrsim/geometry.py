@@ -30,9 +30,12 @@ __all__ = ["Window", "Configuration", "meets", "overlap_pairs", "meets_any"]
 
 
 class Window:
-    """Axis-aligned box ``[lower, upper]`` with finite positive volume."""
+    """Axis-aligned box ``[lower, upper]`` with finite positive volume.
 
-    __slots__ = ("lower", "upper")
+    ``sides`` (``upper - lower``, read-only) and ``volume`` are stored at
+    construction, since samplers read both for every draw."""
+
+    __slots__ = ("lower", "upper", "sides", "volume")
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -47,10 +50,11 @@ class Window:
                                                    upper.tolist())) < math.inf:
             raise ValueError("window bounds, sides and volume must be finite, "
                              "and the volume positive")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        self.lower = lower
-        self.upper = upper
+        sides = upper - lower
+        for a in (lower, upper, sides):
+            a.setflags(write=False)
+        self.lower, self.upper, self.sides = lower, upper, sides
+        self.volume = float(np.prod(sides))
 
     @classmethod
     def cube(cls, side, d):
@@ -59,14 +63,6 @@ class Window:
     @property
     def dimension(self):
         return self.lower.size
-
-    @property
-    def sides(self):
-        return self.upper - self.lower
-
-    @property
-    def volume(self):
-        return float(np.prod(self.sides))
 
     def sample_points(self, rng, n):
         """n i.i.d. uniform points; half-open box semantics via U[0,1)."""
@@ -104,7 +100,7 @@ class Configuration:
             raise ValueError("centers must have shape (n, d)")
         if radii.shape != (centers.shape[0],):
             raise ValueError("radii must have shape (n,) matching centers")
-        if radii.size and not np.all(radii >= 0.0):
+        if radii.size and not np.minimum.reduce(radii) >= 0.0:
             raise ValueError("radii must be nonnegative")
         centers.setflags(write=False)
         radii.setflags(write=False)

@@ -14,8 +14,9 @@ a fixed probability p, independently of the past, so
     P(N = a) = p (1 - p)^(a - 1),   E N = 1/p,
     E s^N = s p / (1 - s (1 - p))   finite iff p > 1 - 1/s.
 
-One sorted interval pass (``merged_intervals``) backs both the component
-count ``n_cc_right`` and ``coverage_gap``.  ``p_from_ncc`` measures p two
+One sorted interval pass (``merged_intervals``) backs the component count
+``n_cc_right``, ``coverage_gap`` and the ``slab-renewal`` CLI's right-edge
+flags, which read the last interval's end.  ``p_from_ncc`` measures p two
 ways (frequency of N = 1, inverse mean of N) that must agree when the
 renewal picture holds; ``estimate_p`` and the ``slab-renewal`` summary both
 use it.  A finite slab stands in for the infinite one: a component is
@@ -83,12 +84,10 @@ class SlabParams:
             raise ValueError("q must be >= 1")
         if not self.q_bar > self.q:
             raise ValueError("q_bar must exceed q")
-
-    @property
-    def window(self):
-        lower = np.zeros(self.d)
-        upper = np.concatenate([[self.n], np.full(self.d - 1, self.k)])
-        return Window(lower, upper)
+        # built once, here, so that a slab whose volume overflows is refused
+        upper = np.full(self.d, float(self.k))
+        upper[0] = self.n
+        object.__setattr__(self, "window", Window(np.zeros(self.d), upper))
 
     @property
     def projected_rate(self):
@@ -114,19 +113,23 @@ def transformed_radius(r, k, d):
 
 def merged_intervals(config, params):
     """Disjoint closed intervals [lo, hi], sorted, forming the union of the
-    axis shadows [x_1, x_1 + rt]; touching shadows merge.  The one sort and
-    sweep behind n_cc_right and coverage_gap."""
+    axis shadows [x_1, x_1 + rt]; touching shadows merge, and the last hi is
+    the largest shadow end.  The one sort and sweep behind n_cc_right,
+    coverage_gap and the CLI's right-edge flags."""
     if len(config) == 0:
         return np.empty((0, 2))
     starts = config.centers[:, 0]
-    order = np.argsort(starts, kind="stable")
+    order = starts.argsort(kind="stable")
     starts = starts[order]
     lengths = transformed_radius(config.radii, params.k, params.d)
     reach = np.maximum.accumulate(starts + lengths[order])
     # strict: a shadow starting exactly at the reach so far joins it
-    opens = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
-    return np.stack([starts[opens], np.append(reach[opens[1:] - 1], reach[-1])],
-                    axis=1)
+    opens = (starts[1:] > reach[:-1]).nonzero()[0] + 1
+    out = np.empty((len(opens) + 1, 2))
+    out[0, 0], out[-1, 1] = starts[0], reach[-1]
+    out[1:, 0] = starts[opens]
+    out[:-1, 1] = reach[opens - 1]
+    return out
 
 
 def n_cc_right(config, params):
@@ -154,7 +157,8 @@ def right_covered(config, y, params):
 
 def reaches_right_edge(config, params, edge=None):
     """True iff the largest shadow end reaches the given edge (default n);
-    the finite-slab stand-in for an infinite component."""
+    the finite-slab stand-in for an infinite component.  Equals comparing
+    the end of ``merged_intervals``' last interval with the edge."""
     edge = params.n if edge is None else edge
     if len(config) == 0:
         return False

@@ -688,6 +688,25 @@ class TestMain:
         assert "constraint chain" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("params, sweep", [
+        ({"n": 1e200, "k": 1e200, "d": 2}, []),
+        # only one sweep point overflows; none is sampled
+        ({"n": 1e10, "k": 0.5, "d": 2},
+         [{"name": "k", "values": [0.5, 1e300]}]),
+    ])
+    def test_exit_two_on_oversized_slab(self, tmp_path, capsys, params, sweep):
+        # finite n and k whose slab volume overflows: a config error before
+        # any sampling, not one ValueError row per replica and exit 3
+        raw = {"experiment": "slab-renewal", "seed": 5, "replicas": 3,
+               "out": str(tmp_path / "bad"), "sweep": sweep,
+               "params": {"z": 4.0, **params,
+                          "law": {"kind": "pareto", "alpha": 0.7,
+                                  "xmin": 0.3}}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "bad.csv")
+        assert not os.path.exists(tmp_path / "bad.meta.json")
+
     def test_slab_renewal_all_empty_point(self, tmp_path):
         # at z = 1e-9 every replica draws an empty slab: that point's summary
         # holds only its sweep cell, and the run still succeeds

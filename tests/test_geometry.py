@@ -80,10 +80,29 @@ class TestWindow:
             Window(lower, upper)
 
     def test_largest_finite_volume_accepted(self):
-        assert Window([0, 0], [1e154, 1e154]).volume == pytest.approx(1e308)
+        w = Window([0, 0], [1e154, 1e154])
+        assert w.volume == pytest.approx(1e308)
+        assert w.volume == float(np.prod(w.upper - w.lower))
 
     def test_volume(self):
         assert Window([0, 0], [2, 3]).volume == 6.0
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0], [7.5]), ([0, 0], [2, 3]), ([-1.5, 0.1, 2.0], [0.3, 0.7, 9.9]),
+        ([0.0, 0.0, 0.0], [40.0, 0.5, 0.5])])
+    def test_stored_sides_and_volume(self, lower, upper):
+        # stored once, equal bit for bit to the expressions they replace
+        w = Window(lower, upper)
+        sides = np.asarray(upper, float) - np.asarray(lower, float)
+        assert np.array_equal(w.sides, sides)
+        assert w.volume == float(np.prod(sides))
+        assert type(w.volume) is float
+
+    def test_sides_read_only(self):
+        w = Window([0, 0], [2, 3])
+        with pytest.raises(ValueError, match="read-only"):
+            w.sides[0] = 5.0
+        assert w.volume == 6.0
 
     def test_sample_points_inside_halfopen(self):
         w = Window([1, 2], [3, 5])
@@ -122,3 +141,15 @@ class TestConfiguration:
             Configuration(np.zeros((2, 2)), np.array([1.0]))
         with pytest.raises(ValueError):
             Configuration(np.zeros((1, 2)), np.array([-0.5]))
+
+    @pytest.mark.parametrize("radii", [
+        [math.nan], [0.5, math.nan], [math.nan, 0.5, 1.0], [1.0, -0.5],
+        [-math.inf, 2.0], [0.3, 0.0, -1e-300]])
+    def test_nan_and_negative_radii_refused(self, radii):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Configuration(np.zeros((len(radii), 2)), np.array(radii))
+
+    def test_zero_and_infinite_radii_accepted(self):
+        cfg = Configuration(np.zeros((3, 1)), np.array([0.0, math.inf, 1.0]))
+        assert len(cfg) == 3
+        assert len(Configuration.empty(2)) == 0

@@ -270,6 +270,24 @@ class TestSlabParams:
         assert np.allclose(w.lower, [0, 0, 0])
         assert np.allclose(w.upper, [12.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_window_built_once(self, d):
+        sp = SlabParams(n=40, k=0.5, d=d, z=1.0, law=DiracRadius(1.0))
+        assert sp.window is sp.window
+        assert np.array_equal(sp.window.upper, [40.0] + [0.5] * (d - 1))
+        assert sp.window.volume == 40.0 * 0.5 ** (d - 1)
+        # not a dataclass field: equality and repr are as before
+        assert sp == SlabParams(n=40, k=0.5, d=d, z=1.0, law=DiracRadius(1.0))
+        assert "window" not in repr(sp)
+
+    @pytest.mark.parametrize("n, k, d", [
+        (1e200, 1e200, 2), (1e300, 1e10, 2), (1.0, 1e110, 4)])
+    def test_overflowing_volume_refused(self, n, k, d):
+        # finite n and k whose slab volume n k^(d-1) overflows: refused when
+        # built, not by every replica's Poisson draw
+        with pytest.raises(ValueError, match="finite"):
+            SlabParams(n=n, k=k, d=d, z=1.0, law=DiracRadius(1.0))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SlabParams(n=0.0, k=1.0, d=2, z=1.0, law=DiracRadius(1.0))

@@ -1,6 +1,6 @@
 """Rightward shadows of 1D and 2D slabs against interval oracles that do not
 sort: zero-length shadows, coincident starts and exactly touching
-intervals, for the component count, right coverage and the edge flag."""
+intervals, for the component count, right coverage and the edge flags."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import interval_bfs_oracle, interval_cover_oracle
 from wrsim.distributions import DiracRadius
 from wrsim.geometry import Configuration
-from wrsim.slab import (SlabParams, coverage_gap, n_cc_right, reaches_right_edge,
-                        right_covered)
+from wrsim.slab import (SlabParams, coverage_gap, merged_intervals, n_cc_right,
+                        reaches_right_edge, right_covered)
 
 K = 0.5
 
@@ -56,3 +56,11 @@ def test_shadows_match_oracles(case):
         assert reaches_right_edge(cfg, params, edge=edge) == bool(
             np.any(ends >= edge))
     assert reaches_right_edge(cfg, params) == bool(np.any(ends >= n))
+    # the slab-renewal CLI reads both edge flags off the last interval's end,
+    # the largest shadow end, and -inf for an empty slab
+    intervals = merged_intervals(cfg, params)
+    end = intervals[-1, 1] if len(intervals) else -np.inf
+    if len(cfg):
+        assert end == ends.max()
+    for edge in (n, n / 2):
+        assert (end >= edge) == reaches_right_edge(cfg, params, edge=edge)
