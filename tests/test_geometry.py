@@ -80,16 +80,14 @@ class TestWindow:
             Window(lower, upper)
 
     def test_largest_finite_volume_accepted(self):
-        w = Window([0, 0], [1e154, 1e154])
-        assert w.volume == pytest.approx(1e308)
-        assert w.volume == float(np.prod(w.upper - w.lower))
+        assert Window([0, 0], [1e154, 1e154]).volume == pytest.approx(1e308)
 
     def test_volume(self):
         assert Window([0, 0], [2, 3]).volume == 6.0
 
     @pytest.mark.parametrize("lower, upper", [
         ([0.0], [7.5]), ([0, 0], [2, 3]), ([-1.5, 0.1, 2.0], [0.3, 0.7, 9.9]),
-        ([0.0, 0.0, 0.0], [40.0, 0.5, 0.5])])
+        ([0.0, 0.0, 0.0], [40.0, 0.5, 0.5]), ([0, 0], [1e154, 1e154])])
     def test_stored_sides_and_volume(self, lower, upper):
         # stored once, equal bit for bit to the expressions they replace
         w = Window(lower, upper)
@@ -102,7 +100,6 @@ class TestWindow:
         w = Window([0, 0], [2, 3])
         with pytest.raises(ValueError, match="read-only"):
             w.sides[0] = 5.0
-        assert w.volume == 6.0
 
     def test_sample_points_inside_halfopen(self):
         w = Window([1, 2], [3, 5])
