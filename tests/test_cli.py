@@ -889,3 +889,23 @@ class TestMain:
             (tmp_path / f"{name}.meta.json").read_text())["summary"]
         assert (json.dumps(summary, indent=2, sort_keys=True) + "\n"
                 == (GOLDEN / f"{name}.summary.json").read_text())
+
+
+def test_fk_compare_matches_golden_bytes(tmp_path):
+    # c02's case (q = 2, z = 0.5, Dirac(0.5) on [0,3]^2) through fk-compare:
+    # each replica runs the cluster chain, colours its components, runs the
+    # hard-core chain and labels both states, so the committed CSV and
+    # summary fix every draw and decision of all four, in that order
+    raw = {"experiment": "fk-compare", "seed": 5, "replicas": 8, "sweeps": 40,
+           "out": str(tmp_path / "fk"),
+           "params": {"q": 2, "z": 0.5,
+                      "law": {"kind": "dirac", "radius": 0.5},
+                      "window": [[0, 0], [3, 3]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path)]) == 0
+    got = (tmp_path / "fk.csv").read_bytes()
+    assert got == (GOLDEN / "fk_compare_q2.csv").read_bytes()
+    summary = json.loads((tmp_path / "fk.meta.json").read_text())["summary"]
+    assert (json.dumps(summary, indent=2, sort_keys=True) + "\n"
+            == (GOLDEN / "fk_compare_q2.summary.json").read_text())
