@@ -672,18 +672,22 @@ def run_experiment(config):
     runner = _KINDS[config.kind].run
     records, summary, states = [], [], {}
     for pi, point in enumerate(sweep_plan(config)):
-        base = {name: _point_cell(point[name]) for name, _ in config.sweep}
+        # a cell the runner's row leaves out: the swept value, the task's
+        # replica and seed, an empty error, or else None
+        fill = dict.fromkeys(schema)
+        fill.update((name, _point_cell(point[name])) for name, _ in config.sweep)
+        fill["error"] = ""
         point_rows = []
         for ri in range(config.replicas):
-            seed = derive_seed(config.seed, pi, ri)
+            seed = fill["seed"] = derive_seed(config.seed, pi, ri)
+            fill["replica"] = ri
             try:
                 rows, state = runner(config, config.inputs[pi],
                                      np.random.default_rng(seed))
             except Exception as exc:  # runtime sampler failure: flag, continue
                 rows, state = [{"error": f"{type(exc).__name__}: {exc}"}], None
-            rows = [{**base, "replica": ri, "seed": seed, "error": "", **row}
+            rows = [{key: row.get(key, fill[key]) for key in schema}
                     for row in rows]
-            rows = [{key: row.get(key) for key in schema} for row in rows]
             point_rows.extend(rows)
             if state is not None:
                 states[(pi, ri)] = (state, rows[0])

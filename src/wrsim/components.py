@@ -70,14 +70,19 @@ def connected_components(config):
 
 def _dense_labels(centers, radii):
     """Smallest member index per ball, by min-label propagation with pointer
-    jumping over the closed-ball adjacency (self-loops included)."""
+    jumping over the closed-ball adjacency (self-loops included).  It
+    starts from each ball's smallest neighbour, the first True of its row;
+    every step keeps each label a member of the ball's component and no
+    larger than the ball, so the fixed point is the smallest member."""
     n = len(radii)
+    if n == 0:
+        return np.arange(0)
     adj = meets(centers[:, None, :], radii[:, None], centers, radii)
-    labels = np.arange(n)
+    labels = adj.argmax(axis=1)
     while True:
-        new = np.where(adj, labels, n).min(axis=1, initial=n)
+        new = np.minimum.reduce(np.where(adj, labels, n), axis=1)
         new = new[new]
-        if np.array_equal(new, labels):
+        if np.count_nonzero(new != labels) == 0:
             return labels
         labels = new
 

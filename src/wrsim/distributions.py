@@ -111,7 +111,9 @@ class DiracRadius(RadiusLaw):
     def sample(self, rng, size=None):
         if size is None:
             return self.radius
-        return np.full(size, self.radius)
+        out = np.empty(size)
+        out.fill(self.radius)
+        return out
 
     def cdf(self, r):
         r = np.asarray(r, dtype=float)

@@ -87,8 +87,9 @@ class Window:
 class Configuration:
     """A finite set of closed balls stored as arrays.
 
-    ``centers`` has shape (n, d) and ``radii`` shape (n,).  Treated as
-    immutable once built; samplers emit fresh instances.
+    ``centers`` has shape (n, d) and ``radii`` shape (n,), both read-only.
+    The constructor checks its inputs; samplers emit fresh instances through
+    :meth:`_frozen`, which does not check them again.
     """
 
     __slots__ = ("centers", "radii")
@@ -106,6 +107,18 @@ class Configuration:
         radii.setflags(write=False)
         self.centers = centers
         self.radii = radii
+
+    @classmethod
+    def _frozen(cls, centers, radii):
+        """A configuration on arrays the library has just made: fresh
+        float64 arrays of shapes (n, d) and (n,) that nothing else holds,
+        with nonnegative radii.  They are frozen, not copied or checked."""
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        config = object.__new__(cls)
+        config.centers = centers
+        config.radii = radii
+        return config
 
     @classmethod
     def empty(cls, d):
@@ -131,16 +144,18 @@ def _sq_dist(a, b):
     cost for small d; from d = 8 on NumPy sums pairwise and the last bit may
     differ.
     """
-    s = (a[..., 0] - b[..., 0]) ** 2
+    s = np.square(np.subtract(a[..., 0], b[..., 0]))
     for k in range(1, a.shape[-1]):
-        s += (a[..., k] - b[..., k]) ** 2
+        s += np.square(np.subtract(a[..., k], b[..., k]))
     return s
 
 
 def meets(ca, ra, cb, rb):
     """Whether closed balls (ca, ra) and (cb, rb) meet, broadcasting; every
-    closed-ball test goes through here, and a NaN radius meets nothing."""
-    return _sq_dist(ca, cb) <= (ra + rb) ** 2
+    closed-ball test goes through here, and a NaN radius meets nothing.
+    Called with ufuncs directly, which on a few balls costs less than the
+    operators; ``np.square`` is what ``** 2`` runs on arrays."""
+    return np.less_equal(_sq_dist(ca, cb), np.square(np.add(ra, rb)))
 
 
 # radius quantile h splitting balls into k-d tree queries and direct scans

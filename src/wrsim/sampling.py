@@ -125,12 +125,12 @@ class MultiTypeConfiguration:
 
     def merged(self):
         """Colour-blind projection: (Configuration, 1-based colour array)."""
-        centers = np.concatenate([c.centers for c in self.configs], axis=0)
-        radii = np.concatenate([c.radii for c in self.configs])
-        colors = np.concatenate(
-            [np.full(len(c), i + 1, dtype=np.int64)
-             for i, c in enumerate(self.configs)])
-        return Configuration(centers, radii), colors
+        configs = self.configs
+        colors = np.repeat(np.arange(1, len(configs) + 1),
+                           [len(c.radii) for c in configs])
+        return Configuration._frozen(
+            np.concatenate([c.centers for c in configs]),
+            np.concatenate([c.radii for c in configs])), colors
 
     def __repr__(self):
         return f"MultiTypeConfiguration(q={self.q}, counts={self.counts().tolist()})"
@@ -305,8 +305,8 @@ def _extract_mc(params, counts, centers, radii, row):
     configs = []
     for i in range(params.q):
         n = int(counts[i][row])
-        configs.append(Configuration(centers[i][row, :n].copy(),
-                                     radii[i][row, :n].copy()))
+        configs.append(Configuration._frozen(centers[i][row, :n].copy(),
+                                             radii[i][row, :n].copy()))
     return MultiTypeConfiguration(configs)
 
 
@@ -395,8 +395,8 @@ class _Buffer:
         return self.centers[:self.n], self.radii[:self.n]
 
     def snapshot(self):
-        return Configuration(self.centers[:self.n].copy(),
-                             self.radii[:self.n].copy())
+        return Configuration._frozen(self.centers[:self.n].copy(),
+                                     self.radii[:self.n].copy())
 
 
 class _BirthDeathChain:
@@ -430,28 +430,34 @@ class _BirthDeathChain:
         self.states[i].remove(j)
 
     def _block(self, colours, coins, centers, radii):
-        """Called with a block's draws (arrays) before its first proposal."""
+        """Called with a block's draws before its first proposal: arrays,
+        and ``radii`` one array per colour, of which proposal t of colour
+        i reads entry t of ``radii[i]``."""
 
     def sweep(self):
         """One sweep, its draws made block by block in the module
         docstring's order; proposal t of a block reads entry t of each."""
         rng, q, d = self.rng, len(self.z), len(self.sides)
-        rates = [z * self.volume for z in self.z]
+        rates, states = [z * self.volume for z in self.z], self.states
         for done in range(0, self.proposals_per_sweep, _BLOCK):
             k = min(_BLOCK, self.proposals_per_sweep - done)
-            colours = rng.integers(q, size=k)  # draws nothing when q == 1
+            # NumPy draws nothing for rng.integers(1), so one colour skips it
+            colours = (rng.integers(q, size=k) if q > 1
+                       else np.zeros(k, dtype=np.int64))
             coins = rng.random(k)
             centers = self.lower + rng.random((k, d)) * self.sides
-            radii = np.array([law.sample(rng, k) for law in self.laws],
-                             dtype=float)[colours, np.arange(k)]
+            radii = [np.asarray(law.sample(rng, k), dtype=float)
+                     for law in self.laws]
             picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
             self.proposals += k
             self._block(colours, coins, centers, radii)
-            for i, coin, x, r, pick, u in zip(colours.tolist(), coins.tolist(),
-                                              centers, radii.tolist(), picks,
+            by_colour = [r.tolist() for r in radii]
+            for t, i, coin, x, pick, u in zip(range(k), colours.tolist(),
+                                              coins.tolist(), centers, picks,
                                               uniforms):
-                n = self.states[i].n
+                n = states[i].n
                 if coin < 0.5:  # birth
+                    r = by_colour[i][t]
                     weight = self._birth_weight(i, x, r)
                     if weight is not None and u < rates[i] / (n + 1) * weight:
                         self.accepted += 1
@@ -505,6 +511,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
         self._outside = [(j, b.centers, b.radii)  # the nonempty boundary colours
                          for j, b in enumerate(self.boundary.configs) if len(b)]
         self._n_outside = sum(len(r) for _, _, r in self._outside)
+        self._scan_colours = _SCAN_COLOUR * (len(self.states) - 1)
         self._alive = None
 
     # traced per class: a profiler wraps the methods in each class's own dict
@@ -521,19 +528,21 @@ class WidomRowlinsonChain(_BirthDeathChain):
     def _block(self, colours, coins, centers, radii):
         # choose conflict lists or direct scans, and build the lists; the
         # last block's lists go first, so that two never share memory
-        self._alive = self._conflicts = self._starts = None
+        if self._alive is not None:
+            self._alive = self._conflicts = self._starts = None
         present = self._n_outside
         for s in self.states:
             present += s.n
-        q, k = len(self.states), len(coins)
-        scan = _SCAN_COLOUR * (q - 1) + _SCAN_BALL * present  # per birth
+        k = len(coins)
+        scan = self._scan_colours + _SCAN_BALL * present  # per birth
         if scan * k <= _LIST_FIXED:
             return
-        d = len(self.sides)
+        q, d = len(self.states), len(self.sides)
         stores = ([(j, *s.view()) for j, s in enumerate(self.states)]
                   + self._outside)  # (colour, centres, radii)
         births = np.flatnonzero(coins < 0.5)[::-1]  # the latest first
-        r_all = np.concatenate([radii[births]] + [r for _, _, r in stores])
+        r_all = np.concatenate([np.array(radii)[colours[births], births]]
+                               + [r for _, _, r in stores])
         n_all = len(r_all)
         unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # V_d
         pairs = n_all * float(np.minimum(
@@ -569,7 +578,8 @@ class WidomRowlinsonChain(_BirthDeathChain):
                     return None
             return 1.0
         for j, s in enumerate(self.states):
-            if j != i and s.n and meets(*s.view(), x, r).any():
+            n = s.n
+            if j != i and n and meets(s.centers[:n], s.radii[:n], x, r).any():
                 return None
         for j, c, rad in self._outside:
             if j != i and meets(c, rad, x, r).any():
@@ -615,8 +625,8 @@ class RandomClusterChain(_BirthDeathChain):
     """
 
     def __init__(self, window, z, law, q, rng):
-        if not q >= 1:
-            raise ValueError("q must be >= 1 (real values allowed)")
+        if not 1 <= q < math.inf:
+            raise ValueError("q must be finite and >= 1 (real values allowed)")
         if not 0 <= z < math.inf:
             raise ValueError("activity must be finite and nonnegative")
         self.q = float(q)
@@ -639,13 +649,9 @@ class RandomClusterChain(_BirthDeathChain):
         if not self.track:
             return 1.0
         buf = self.states[0]
-        c, rad = buf.view()
-        near = meets(c, rad, x, r)
-        touched = buf.labels[:len(rad)][near]
-        if len(touched) > 1 and (touched[1:] != touched[0]).any():
-            touched = np.unique(touched)
-        else:
-            touched = touched[:1]
+        n = buf.n
+        near = meets(buf.centers[:n], buf.radii[:n], x, r)
+        touched = sorted(set(buf.labels[:n][near].tolist()))
         self._near, self._touched = near, touched  # for _add on acceptance
         return self.q ** (1 - len(touched))
 
@@ -660,7 +666,7 @@ class RandomClusterChain(_BirthDeathChain):
             self._next_label += 1
             self.n_components += 1
         else:
-            label = int(self._touched[0])
+            label = self._touched[0]
             lab = buf.labels[:n - 1]
             for t in self._touched[1:]:
                 lab[lab == t] = label
@@ -699,13 +705,15 @@ class RandomClusterChain(_BirthDeathChain):
         lists the ball indices of the closed-off pieces; the last piece is
         not listed and keeps the component's label.
         """
-        n, adj = self.n, self.adj
+        buf = self.states[0]
+        n, adj = buf.n, buf.adj
+        degree = np.count_nonzero(adj[j, :n]) - 1  # the diagonal is True
+        if degree <= 1:
+            return degree, []
         unreached = adj[j, :n].copy()
         unreached[j] = False
         nb = unreached.nonzero()[0]
-        if len(nb) <= 1:
-            return len(nb), []
-        rad = self.states[0].radii[:n]
+        rad = buf.radii[:n]
         top = nb[rad[nb].argmax()]
         reach = adj[top, nb]
         if reach.all():
@@ -748,13 +756,16 @@ def fk_coloring(config, q, rng):
     if int(q) != q or q < 1:
         raise ValueError("q must be a positive integer")
     q = int(q)
-    roots, of_root = np.unique(connected_components(config).labels,
-                               return_inverse=True)
-    ball_colors = rng.integers(1, q + 1, size=len(roots))[of_root]
+    labeling = connected_components(config)
+    labels = labeling.labels
+    # a root's rank among the roots indexes the component's colour draw
+    rank = (labels == np.arange(len(labels))).cumsum() - 1
+    ball_colors = rng.integers(1, q + 1, size=labeling.n_cc)[rank[labels]]
     configs = []
     for color in range(1, q + 1):
         mask = ball_colors == color
-        configs.append(Configuration(config.centers[mask], config.radii[mask]))
+        configs.append(Configuration._frozen(config.centers[mask],
+                                             config.radii[mask]))
     return MultiTypeConfiguration(configs)
 
 

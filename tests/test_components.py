@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph, csr_matrix
 
 from helpers import bfs_ncc_oracle
 from wrsim.geometry import Configuration, Window
-from wrsim.components import (connected_components, crossing_exists,
-                              covered_fraction, probe_points, color_census)
+from wrsim.components import (_dense_labels, connected_components,
+                              crossing_exists, covered_fraction, probe_points,
+                              color_census)
 from wrsim.sampling import MultiTypeConfiguration, sample_poisson
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
 
@@ -83,6 +85,24 @@ class TestConnectedComponents:
             n1 = connected_components(extra).n_cc
             assert n1 <= n0 + 1
             assert n1 >= 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64])
+def test_dense_labels_match_csgraph(n):
+    # the dense propagation's labels equal csgraph's components mapped to
+    # their smallest member, at the edges of its range and at its largest
+    rng = np.random.default_rng(60 + n)
+    for trial in range(30):
+        side = 2.0 if trial % 2 else 12.0
+        centers = rng.random((n, 2)) * side
+        radii = rng.random(n) * 0.8
+        adj = (((centers[:, None, :] - centers) ** 2).sum(-1)
+               <= (radii[:, None] + radii) ** 2)
+        _, ids = csgraph.connected_components(csr_matrix(adj), directed=False)
+        _, first = np.unique(ids, return_index=True)
+        got = _dense_labels(centers, radii)
+        assert got.dtype == np.intp and got.shape == (n,)
+        assert np.array_equal(got, first[ids])
 
 
 class TestCrossing:

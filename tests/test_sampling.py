@@ -556,6 +556,13 @@ class TestCRCMChain:
         chain.run(20)
         assert chain.n_components == connected_components(chain.state()).n_cc
 
+    def test_infinite_q_refused(self):
+        # q = inf gives births weights of inf and 0, so the chain would run
+        # on meaningless ratios; it is refused as z = inf is
+        with pytest.raises(ValueError, match="finite"):
+            RandomClusterChain(WINDOW, 0.5, LAW, math.inf,
+                               np.random.default_rng(0))
+
 
 def same_partition(a, b):
     """True iff two per-ball label arrays induce the same partition."""
@@ -897,3 +904,62 @@ class TestDumps:
         text = "1 1.0 1.0 0.2\n\n" + line + "\n"
         with pytest.raises(ValueError, match="^line 3: "):
             load_multitype_configuration(io.StringIO(text), 2, 2)
+
+
+class TestFrozenSnapshots:
+    """Every configuration the library makes holds read-only float64 arrays
+    of shapes (n, d) and (n,) that no chain or sampler writes again, and
+    passes the public constructor's checks."""
+
+    @staticmethod
+    def assert_frozen(config, d):
+        n = len(config)
+        for a, shape in ((config.centers, (n, d)), (config.radii, (n,))):
+            assert a.dtype == np.float64 and a.shape == shape
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        again = Configuration(config.centers, config.radii)
+        assert np.array_equal(again.centers, config.centers)
+        assert np.array_equal(again.radii, config.radii)
+
+    def made_configurations(self):
+        """(configuration, d) for chain states, merges, FK colourings and
+        rejection samples, each on balls of every colour."""
+        rng = np.random.default_rng(41)
+        made = []
+        params = GibbsParams.symmetric(
+            3, 0.6, UniformRadius(0.1, 0.4), Window.cube(4.0, 2),
+            boundary=BoundaryCondition.ordered(2, 1.0))
+        wr = WidomRowlinsonChain(params, rng).run(30)
+        state = wr.state()
+        made += [(c, 2) for c in state.configs] + [(state.merged()[0], 2)]
+        for q in (1.0, 2.0):
+            cluster = RandomClusterChain(Window.cube(3.0, 3), 0.8, LAW, q, rng)
+            blind = cluster.run(30).state()
+            made.append((blind, 3))
+            made += [(c, 3) for c in fk_coloring(blind, 2, rng).configs]
+        samples, _ = sample_wr_rejection_many(
+            GibbsParams.symmetric(2, 0.2, LAW, Window.cube(3.0, 1)), 20, rng)
+        made += [(c, 1) for mc in samples for c in mc.configs]
+        made += [(mc.merged()[0], 1) for mc in samples]
+        return made
+
+    def test_made_configurations_are_frozen_and_valid(self):
+        made = self.made_configurations()
+        assert sum(len(c) for c, _ in made) > 100
+        for config, d in made:
+            self.assert_frozen(config, d)
+
+    def test_chain_states_do_not_share_the_store(self):
+        params = GibbsParams.symmetric(2, 0.8, LAW, WINDOW)
+        chain = WidomRowlinsonChain(params, np.random.default_rng(42)).run(10)
+        state = chain.state()
+        kept = [(c.centers.copy(), c.radii.copy()) for c in state.configs]
+        for config, store in zip(state.configs, chain.states):
+            assert not np.shares_memory(config.centers, store.centers)
+            assert not np.shares_memory(config.radii, store.radii)
+        chain.run(20)
+        for config, (centers, radii) in zip(state.configs, kept):
+            assert np.array_equal(config.centers, centers)
+            assert np.array_equal(config.radii, radii)
