@@ -430,9 +430,7 @@ class _BirthDeathChain:
         self.states[i].remove(j)
 
     def _block(self, colours, coins, centers, radii):
-        """Called with a block's draws before its first proposal: arrays,
-        and ``radii`` one array per colour, of which proposal t of colour
-        i reads entry t of ``radii[i]``."""
+        """Called with a block's draws (arrays) before its first proposal."""
 
     def sweep(self):
         """One sweep, its draws made block by block in the module
@@ -446,18 +444,18 @@ class _BirthDeathChain:
                        else np.zeros(k, dtype=np.int64))
             coins = rng.random(k)
             centers = self.lower + rng.random((k, d)) * self.sides
-            radii = [np.asarray(law.sample(rng, k), dtype=float)
-                     for law in self.laws]
+            radii = [law.sample(rng, k) for law in self.laws]
+            # proposal t reads its own colour's draw t; one colour reads all
+            radii = (np.asarray(radii[0], dtype=float) if q == 1 else
+                     np.array(radii, dtype=float)[colours, np.arange(k)])
             picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
             self.proposals += k
             self._block(colours, coins, centers, radii)
-            by_colour = [r.tolist() for r in radii]
-            for t, i, coin, x, pick, u in zip(range(k), colours.tolist(),
-                                              coins.tolist(), centers, picks,
+            for i, coin, x, r, pick, u in zip(colours.tolist(), coins.tolist(),
+                                              centers, radii.tolist(), picks,
                                               uniforms):
                 n = states[i].n
                 if coin < 0.5:  # birth
-                    r = by_colour[i][t]
                     weight = self._birth_weight(i, x, r)
                     if weight is not None and u < rates[i] / (n + 1) * weight:
                         self.accepted += 1
@@ -541,8 +539,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
         stores = ([(j, *s.view()) for j, s in enumerate(self.states)]
                   + self._outside)  # (colour, centres, radii)
         births = np.flatnonzero(coins < 0.5)[::-1]  # the latest first
-        r_all = np.concatenate([np.array(radii)[colours[births], births]]
-                               + [r for _, _, r in stores])
+        r_all = np.concatenate([radii[births]] + [r for _, _, r in stores])
         n_all = len(r_all)
         unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # V_d
         pairs = n_all * float(np.minimum(

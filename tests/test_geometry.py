@@ -139,6 +139,21 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration(np.zeros((1, 2)), np.array([-0.5]))
 
+    @pytest.mark.parametrize("centers, radii, match", [
+        (np.zeros(3), np.zeros(3), "centers"),
+        (np.zeros((2, 2, 1)), np.zeros(2), "centers"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), "radii"),
+        (np.zeros((2, 2)), np.zeros(3), "radii"),
+        (np.zeros((0, 2)), np.zeros(1), "radii"),
+        ([["a", "b"]], [1.0], "could not convert"),
+        ([[0.0, 0.0]], ["x"], "could not convert"),
+    ])
+    def test_malformed_arrays_refused(self, centers, radii, match):
+        # the public constructor checks every input; only the samplers'
+        # own snapshots skip these checks
+        with pytest.raises(ValueError, match=match):
+            Configuration(centers, radii)
+
     @pytest.mark.parametrize("radii", [
         [math.nan], [0.5, math.nan], [math.nan, 0.5, 1.0], [1.0, -0.5],
         [-math.inf, 2.0], [0.3, 0.0, -1e-300]])
