@@ -444,10 +444,10 @@ class _BirthDeathChain:
                        else np.zeros(k, dtype=np.int64))
             coins = rng.random(k)
             centers = self.lower + rng.random((k, d)) * self.sides
-            radii = [law.sample(rng, k) for law in self.laws]
+            draws = [law.sample(rng, k) for law in self.laws]
             # proposal t reads its own colour's draw t; one colour reads all
-            radii = (np.asarray(radii[0], dtype=float) if q == 1 else
-                     np.array(radii, dtype=float)[colours, np.arange(k)])
+            radii = (np.asarray(draws[0], dtype=float) if q == 1 else
+                     np.array(draws, dtype=float)[colours, np.arange(k)])
             picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
             self.proposals += k
             self._block(colours, coins, centers, radii)
