@@ -415,22 +415,19 @@ def _geometry_columns(config, window, probes):
             "covered_fraction": covered_fraction(config, window, probes)}
 
 
-def _wr_chain_rows(cfg, inputs, rng):
-    """One WR chain's row; geometry columns only when ``inputs`` carries a
-    probe count."""
+def _run_wr_sample(cfg, inputs, rng):
     params, probes = inputs
     chain = WidomRowlinsonChain(params, rng)
     totals = _second_half(chain, cfg.sweeps, "total_count")
     state = chain.state()
     census = color_census(state)
     row = {f"count_{i + 1}": int(c) for i, c in enumerate(census.counts)}
-    row["total_count"] = int(census.counts.sum())
-    row["dominant_fraction"] = census.dominant_fraction
-    row["monochromatic"] = int(census.monochromatic)
-    row["acceptance_rate"] = chain.acceptance_rate
-    if probes is not None:
-        row.update(_geometry_columns(state.merged()[0], params.window, probes))
-        row["ess_total"] = effective_sample_size(totals)
+    row.update(_geometry_columns(state.merged()[0], params.window, probes),
+               total_count=int(census.counts.sum()),
+               dominant_fraction=census.dominant_fraction,
+               monochromatic=int(census.monochromatic),
+               acceptance_rate=chain.acceptance_rate,
+               ess_total=effective_sample_size(totals))
     return [row], state
 
 
@@ -469,8 +466,7 @@ def _run_domination(cfg, inputs, rng):
     chain = WidomRowlinsonChain(params, rng)
     chain.run(cfg.sweeps)
     wr_total = chain.total_count
-    poisson = sample_multitype_poisson(params, rng)
-    po_total = poisson.total_count()
+    po_total = sample_multitype_poisson(params, rng).total_count()
     row = {
         "wr_total": wr_total,
         "wr_exceed": int(wr_total >= threshold),
@@ -586,7 +582,7 @@ _KINDS = {
         _GIBBS_KEYS, {"boundary", "probes"},
         resolve=lambda merged: (_gibbs_from(merged),
                                 _int_from(merged, "probes", 1024, least=1)),
-        run=_wr_chain_rows,
+        run=_run_wr_sample,
         columns=("count_{i}", "total_count", "n_cc", "crossing",
                  "covered_fraction", "dominant_fraction", "monochromatic",
                  "acceptance_rate", "ess_total")),
@@ -604,12 +600,6 @@ _KINDS = {
         run=_run_domination,
         columns=("wr_total", "wr_exceed", "poisson_total", "poisson_exceed"),
         summarize=_summarize_domination),
-    "phase-sweep": _Kind(
-        _GIBBS_KEYS, {"boundary"},
-        resolve=lambda merged: (_gibbs_from(merged), None),
-        run=_wr_chain_rows,
-        columns=("count_{i}", "total_count", "dominant_fraction",
-                 "monochromatic", "acceptance_rate")),
     "slab-renewal": _Kind(
         {"n", "k", "d", "z", "law"}, set(), resolve=_slab_from,
         run=_run_slab_renewal,
@@ -710,6 +700,18 @@ def _format_cell(value):
     return str(value)
 
 
+def _json_safe(value):
+    """``value`` with each non-finite float as its CSV cell text ("inf",
+    "-inf", "nan"), which JSON can hold; None stays "not computed"."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return _format_cell(value)
+    return value
+
+
 def emit_records(records, schema, out_stem, fmt, metadata):
     """Write the record stream plus the metadata sidecar; returns the paths.
 
@@ -734,10 +736,11 @@ def emit_records(records, schema, out_stem, fmt, metadata):
     else:
         with open(path, "w") as fh:
             for record in records:
-                fh.write(json.dumps({k: record.get(k) for k in schema}) + "\n")
+                fh.write(json.dumps(_json_safe(
+                    {k: record.get(k) for k in schema})) + "\n")
     meta_path = f"{out_stem}.meta.json"
     with open(meta_path, "w") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(metadata), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return [path, meta_path]
 
@@ -778,9 +781,8 @@ def _dump_states(config, states, out_stem):
             "seed": row["seed"],
             "sweeps": config.sweeps,
         }
-        for key in ("acceptance_rate", "ess_total", "ess_count"):
-            if row.get(key) is not None:
-                meta[key] = row[key]
+        keys = ("acceptance_rate", "ess_total", "ess_count")
+        meta.update((k, row[k]) for k in keys if row.get(k) is not None)
         write_run_metadata(base + ".run.txt", meta)
 
 
@@ -795,11 +797,8 @@ def main(argv=None):
                         help="override output format")
     args = parser.parse_args(argv)
 
-    overrides = {}
-    for key in ("seed", "replicas", "out", "format"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key, value in vars(args).items()
+                 if key != "config" and value is not None}
     try:
         config = ExperimentConfig.from_file(args.config, overrides)
         if not config.out:
@@ -836,9 +835,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
-    if any(r.get("error") for r in records):
-        return 3
-    return 0
+    return 3 if any(r["error"] for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -224,6 +224,8 @@ def is_authorized(mc, boundary=None):
     """
     merged = mc.configs
     if boundary is not None:
+        if boundary.q != mc.q:
+            raise ValueError(f"boundary has {boundary.q} colours, not {mc.q}")
         merged = [Configuration(np.concatenate([c.centers, b.centers]),
                                 np.concatenate([c.radii, b.radii]))
                   for c, b in zip(merged, boundary.configs)]
@@ -750,7 +752,7 @@ def fk_coloring(config, q, rng):
     """Colour every component uniformly over {1..q}, i.i.d. across
     components; the output is always authorized and its colour-blind
     projection returns the input ball set."""
-    if int(q) != q or q < 1:
+    if not 1 <= q < math.inf or int(q) != q:
         raise ValueError("q must be a positive integer")
     q = int(q)
     labeling = connected_components(config)

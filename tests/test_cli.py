@@ -67,7 +67,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("kind", [
-        "wr-sample", "crcm-sample", "fk-compare", "domination", "phase-sweep",
+        "wr-sample", "crcm-sample", "fk-compare", "domination",
         "slab-renewal", "entropy-certificate", "condition-check"])
     def test_unsweepable_axis(self, kind):
         # q is fixed for the whole run exactly where the columns are per colour
@@ -80,8 +80,8 @@ class TestConfigValidation:
         }.get(kind, base_config()["params"])
         raw = base_config(experiment=kind, params=params,
                           sweep=[{"name": "q", "values": [2, 3]}])
-        if kind in ("wr-sample", "phase-sweep", "fk-compare",
-                    "entropy-certificate", "slab-renewal"):
+        if kind in ("wr-sample", "fk-compare", "entropy-certificate",
+                    "slab-renewal"):
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig.from_dict(raw)
             assert err.value.problems == [
@@ -135,7 +135,8 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw)
         assert err.value.problems == [f"params.{key}: unknown for slab-renewal"]
 
-    @pytest.mark.parametrize("kind", ["nope", ["wr-sample"]])
+    # wr-sample writes every column and dump that phase-sweep did
+    @pytest.mark.parametrize("kind", ["nope", ["wr-sample"], "phase-sweep"])
     def test_unknown_experiment(self, kind):
         with pytest.raises(ConfigError, match="experiment must be one of"):
             ExperimentConfig.from_dict(base_config(experiment=kind))
@@ -160,8 +161,6 @@ OPTIONAL_KEY_CASES = {
         _GIBBS, {"boundary": {"kind": "free"}}, {"boundary": _ORDERED}),
     ("domination", ("threshold",)): (
         _GIBBS, {"threshold": 0}, {"threshold": 1000}),
-    ("phase-sweep", ("boundary",)): (
-        _GIBBS, {"boundary": {"kind": "free"}}, {"boundary": _ORDERED}),
     ("entropy-certificate", ("beta", "gamma", "epsilon")): (
         _ENTROPY, {"beta": 0.95, "gamma": 0.1, "epsilon": 0.2},
         {"beta": 0.93, "gamma": 0.125, "epsilon": 0.25}),
@@ -353,7 +352,7 @@ class TestAllKindsRun:
 
     def test_phase_sweep(self):
         records, _ = self.run_kind({
-            "experiment": "phase-sweep", "seed": 4, "replicas": 2, "sweeps": 20,
+            "experiment": "wr-sample", "seed": 4, "replicas": 2, "sweeps": 20,
             "params": {"q": 2, "z": 1.0,
                        "law": {"kind": "dirac", "radius": 0.5},
                        "window": [[0, 0], [2, 2]],
@@ -366,7 +365,7 @@ class TestAllKindsRun:
         # dominant-colour fraction read back from the emitted CSV increases
         # along the activity sweep under a one-colour boundary
         raw = {
-            "experiment": "phase-sweep", "seed": 2024, "replicas": 6,
+            "experiment": "wr-sample", "seed": 2024, "replicas": 6,
             "sweeps": 120, "out": str(tmp_path / "phase"),
             "params": {"q": 2, "z": 1.0,
                        "law": {"kind": "dirac", "radius": 0.5},
@@ -520,8 +519,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert all(f"{key}: must be" in err
                    for key in ("seed", "replicas", "sweeps", "threads"))
+        # wr-sample is the one kind that samples the hard-core chain
+        path = self.write_config(tmp_path,
+                                 base_config(experiment="phase-sweep"))
+        assert main(["--config", path, "--out", str(tmp_path / "x")]) == 2
+        assert "experiment must be one of" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "x.csv")
         assert not os.path.exists(tmp_path / "x.meta.json")
+
+    def test_jsonl_and_meta_hold_no_bare_non_finite_token(self, tmp_path):
+        # a non-integrable law's moment is infinite; JSON has no Infinity,
+        # so the cell is written as its CSV text
+        raw = {"experiment": "condition-check", "seed": 1, "format": "jsonl",
+               "out": str(tmp_path / "cond"),
+               "params": {"law": {"kind": "pareto", "alpha": 1.5,
+                                  "xmin": 1.0}, "d": 2}}
+        assert main(["--config", self.write_config(tmp_path, raw)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in JSON output")
+
+        lines = (tmp_path / "cond.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert [row["moment"] for row in rows] == ["inf"]
+        json.loads((tmp_path / "cond.meta.json").read_text(),
+                   parse_constant=refuse)
 
     @pytest.mark.parametrize("key, value, message", [
         ("law", {"kind": "foo"}, "unknown law kind 'foo'"),
@@ -557,7 +579,7 @@ class TestMain:
         ("wr-sample", {"q": 2.0}),
         ("fk-compare", {"q": True}),
         ("domination", {"q": 2.5}),
-        ("phase-sweep", {"q": 3.0}),
+        ("wr-sample", {"q": 3.0}),
         ("entropy-certificate", {"q": 2.0}),
         ("condition-check", {"q": 2.5}),
         ("slab-renewal", {"d": 2.9}),
@@ -580,8 +602,8 @@ class TestMain:
                                   "xmin": True}}),
         ("wr-sample", {"law": {"kind": "atom_mixture", "p0": False,
                                "remainder": {"kind": "dirac", "radius": 1}}}),
-        ("phase-sweep", {"boundary": {"kind": "ordered", "color": 1,
-                                      "shell": True}}),
+        ("wr-sample", {"boundary": {"kind": "ordered", "color": 1,
+                                    "shell": True}}),
         ("domination", {"threshold": True}),
         ("entropy-certificate", {"m_side": True}),
         ("condition-check", {"q_bar": True, "k": 1.0}),

@@ -1,16 +1,22 @@
 """Emission round trip over every cell type the emitter writes: ints, bools,
 None, floats across many exponents plus nan and inf, and non-numeric text
 with commas, quotes and newlines.  ``emit_records`` -> ``load_records`` ->
-``emit_records`` must reproduce the CSV bytes, and the JSONL stream must
-carry the schema's field names in order."""
+``emit_records`` must reproduce the CSV bytes, and the JSONL stream and the
+metadata sidecar must be strict JSON, the stream carrying the schema's field
+names in order."""
 
 import json
+import math
 import os
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from wrsim.cli import emit_records, load_records
+
+
+def _refuse(token):
+    raise ValueError(f"bare {token} in JSON output")
 
 
 def _numeric(text):
@@ -54,7 +60,13 @@ def test_csv_round_trip_and_jsonl_fields(stream):
         emit_records(loaded, loaded_schema, second, "csv", {})
         with open(first + ".csv", "rb") as a, open(second + ".csv", "rb") as b:
             assert a.read() == b.read()
-        emit_records(records, schema, first, "jsonl", {})
+        emit_records(records, schema, first, "jsonl", {"records": records})
         with open(first + ".jsonl") as fh:
-            rows = [json.loads(line) for line in fh]
+            rows = [json.loads(line, parse_constant=_refuse) for line in fh]
+        with open(first + ".meta.json") as fh:
+            meta = json.load(fh, parse_constant=_refuse)
     assert [list(row) for row in rows] == [schema] * len(records)
+    # JSON has no NaN or infinity: such a cell is its CSV text
+    text = [{k: repr(v) if isinstance(v, float) and not math.isfinite(v)
+             else v for k, v in record.items()} for record in records]
+    assert rows == meta["records"] == text

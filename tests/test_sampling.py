@@ -115,6 +115,14 @@ class TestAuthorized:
         assert is_authorized(mc)
         assert not is_authorized(mc, boundary)
 
+    def test_boundary_colour_count_must_match(self):
+        # colours 1 and 3 overlap; a 2-colour boundary must not hide colour 3
+        ball = Configuration(np.array([[1.0, 1.0]]), np.array([0.5]))
+        mc = MultiTypeConfiguration([ball, Configuration.empty(2), ball])
+        assert not is_authorized(mc)
+        with pytest.raises(ValueError, match="boundary has 2 colours, not 3"):
+            is_authorized(mc, MultiTypeConfiguration.empty(2, 2))
+
 
 class TestRejection:
     def test_q1_first_attempt(self):
@@ -791,6 +799,12 @@ class TestFKColoring:
         for _ in range(50):
             cfg = sample_poisson(WINDOW, 1.2, UniformRadius(0.1, 0.9), rng)
             assert is_authorized(fk_coloring(cfg, 3, rng))
+
+    @pytest.mark.parametrize("q", [0, -1, 2.5, math.inf, math.nan])
+    def test_refuses_q_not_positive_integer(self, q):
+        cfg = Configuration(np.array([[0.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            fk_coloring(cfg, q, np.random.default_rng(0))
 
 
 class TestBoundary:
