@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiracRadius
+from .distributions import DiracRadius, _check_dimension
+from .geometry import Window
 from .sampling import authorized_count
 
 __all__ = [
@@ -184,8 +185,9 @@ def phi_m(law, m_side, d, probes=20000, rng=None, method="auto"):
     Returns (estimate, stderr).  Dirac radii are evaluated in closed form
     ((m - 2 r0)/m)^d clipped at 0 unless method="mc" forces Monte Carlo.
     """
-    if m_side <= 0:
-        raise ValueError("m_side must be positive")
+    if not 0 < m_side < math.inf:
+        raise ValueError("m_side must be positive and finite")
+    _check_dimension(d)
     if probes < 1:
         raise ValueError("probes must be >= 1")
     if method not in ("auto", "mc"):
@@ -195,8 +197,8 @@ def phi_m(law, m_side, d, probes=20000, rng=None, method="auto"):
         return frac ** d, 0.0
     if rng is None:
         raise ValueError("Monte Carlo path needs a generator")
-    x = rng.random((probes, d)) * m_side
-    r = np.asarray(law.sample(rng, probes), dtype=float)
+    x = Window.cube(m_side, d).sample_points(rng, probes)
+    r = law.sample(rng, probes)
     inside = np.all((x >= r[:, None]) & (x <= m_side - r[:, None]), axis=1)
     p = float(inside.mean())
     se = math.sqrt(max(p * (1.0 - p), 0.0) / probes)

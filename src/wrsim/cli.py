@@ -221,10 +221,12 @@ class ExperimentConfig:
                         f"sweep[{i}]: must be {{'name':…, 'values':[…]}}")
                     continue
                 name, values = axis["name"], axis["values"]
-                if name not in allowed:
+                if not isinstance(name, str) or name not in allowed:
                     problems.append(
                         f"sweep[{i}].name: {name!r} is not a sweepable "
                         f"parameter of {kind}")
+                elif name in [n for n, _ in sweep]:
+                    problems.append(f"sweep[{i}].name: {name!r} repeats an axis")
                 if not isinstance(values, list) or not values:
                     problems.append(f"sweep[{i}].values: nonempty list required")
                     continue

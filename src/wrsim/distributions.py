@@ -54,7 +54,9 @@ class RadiusLaw:
     fields = ()
     law_fields = ()
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
+        """A fresh, writable, nonnegative float64 array of shape ``size`` (an
+        int or a tuple) of draws; one draw is ``law.sample(rng, 1)[0]``."""
         raise NotImplementedError
 
     def cdf(self, r):
@@ -108,9 +110,7 @@ class DiracRadius(RadiusLaw):
             raise ValueError("dirac radius must be nonnegative")
         self.radius = radius
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.radius
+    def sample(self, rng, size):
         out = np.empty(size)
         out.fill(self.radius)
         return out
@@ -142,7 +142,7 @@ class UniformRadius(RadiusLaw):
         self.low = low
         self.high = high
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return self.low + (self.high - self.low) * rng.random(size)
 
     def cdf(self, r):
@@ -169,7 +169,7 @@ class ExponentialRadius(RadiusLaw):
             raise ValueError("exponential rate must be positive")
         self.rate = rate
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
     def cdf(self, r):
@@ -200,7 +200,7 @@ class ParetoRadius(RadiusLaw):
         self.alpha = alpha
         self.xmin = xmin
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # inverse CDF: S(r) = (r/xmin)^-alpha  =>  r = xmin * U^(-1/alpha)
         u = rng.random(size)
         return self.xmin * (1.0 - u) ** (-1.0 / self.alpha)
@@ -247,15 +247,9 @@ class AtomMixtureRadius(RadiusLaw):
         self.p0 = p0
         self.remainder = remainder
 
-    def sample(self, rng, size=None):
-        if size is None:
-            if rng.random() < self.p0:
-                return 0.0
-            return self.remainder.sample(rng)
+    def sample(self, rng, size):
         zero = rng.random(size) < self.p0
-        out = np.asarray(self.remainder.sample(rng, size), dtype=float).copy()
-        out[zero] = 0.0
-        return out
+        return np.where(zero, 0.0, self.remainder.sample(rng, size))
 
     def cdf(self, r):
         r = np.asarray(r, dtype=float)
@@ -280,6 +274,11 @@ class AtomMixtureRadius(RadiusLaw):
         return (cls, coef)
 
 
+def _shadow(r, shift):
+    """Shadow lengths sqrt(max(r^2 - shift, 0)), with shift = (d - 1) k^2."""
+    return np.sqrt(np.maximum(r * r - shift, 0.0))
+
+
 class TransformedRadius(RadiusLaw):
     """Law of sqrt(max(r^2 - shift, 0)) for r drawn from a source law.
 
@@ -298,10 +297,8 @@ class TransformedRadius(RadiusLaw):
         self.source = source
         self.shift = shift
 
-    def sample(self, rng, size=None):
-        r = np.asarray(self.source.sample(rng, size), dtype=float)
-        out = np.sqrt(np.maximum(r * r - self.shift, 0.0))
-        return float(out) if size is None else out
+    def sample(self, rng, size):
+        return _shadow(self.source.sample(rng, size), self.shift)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -358,10 +355,15 @@ class CoverageReport:
         return self.converges
 
 
+def _check_dimension(d):
+    """Refuse a d that is not a positive integer: NaN and 2.5 pass d < 1."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+
+
 def classify_integrability(law, d):
     """Analytic integrability classification of ``int r^d Q(dr)``."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dimension(d)
     m = law.moment(d)
     return IntegrabilityReport(d=d, integrable=m != math.inf, moment=m)
 
@@ -428,10 +430,9 @@ def q_tilde_transform(law, k, d):
     In dimension 1 the shadow length is the radius itself, so the law is
     returned unchanged.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError("k must be positive")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dimension(d)
     if d == 1:
         return law
     return TransformedRadius(law, (d - 1) * k * k)

@@ -65,9 +65,9 @@ class Window:
         return self.lower.size
 
     def sample_points(self, rng, n):
-        """n i.i.d. uniform points; half-open box semantics via U[0,1)."""
-        u = rng.random((n, self.dimension))
-        return self.lower + u * self.sides
+        """n i.i.d. uniform points; half-open box semantics via U[0,1).  One
+        expression, so that the uniforms are freed before the sum is made."""
+        return self.lower + rng.random((n, self.dimension)) * self.sides
 
     def contains_points(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -204,8 +204,7 @@ def sample_poisson(window, z, law, rng):
         raise ValueError("activity must be nonnegative")
     n = rng.poisson(z * window.volume)
     centers = window.sample_points(rng, n)
-    radii = np.asarray(law.sample(rng, n), dtype=float)
-    return Configuration(centers, radii)
+    return Configuration(centers, law.sample(rng, n))
 
 
 def sample_multitype_poisson(params, rng):
@@ -280,9 +279,9 @@ def _batch_authorized(params, batch, rng, outside):
         n_i = rng.poisson(params.z[i] * window.volume, batch)
         m = int(n_i.max()) if batch else 0
         counts.append(n_i)
-        centers.append(window.lower
-                       + rng.random((batch, m, window.dimension)) * window.sides)
-        r = np.asarray(params.laws[i].sample(rng, (batch, m)), dtype=float)
+        centers.append(window.sample_points(rng, batch * m)
+                       .reshape(batch, m, window.dimension))
+        r = params.laws[i].sample(rng, (batch, m))
         radii.append(np.where(np.arange(m) < n_i[:, None], r, np.nan))
     bad = np.zeros(batch, dtype=bool)
     boundary = [(c.centers, c.radii) for c in outside.configs]
@@ -410,11 +409,9 @@ class _BirthDeathChain:
     keep their bookkeeping on acceptance."""
 
     def __init__(self, window, z, laws, rng, cluster=False):
-        self.z, self.laws, self.rng = z, laws, rng
-        self.volume = window.volume
-        self.lower, self.sides = window.lower, window.sides
+        self.z, self.laws, self.rng, self.window = z, laws, rng, window
         self.states = [_Buffer(window.dimension, cluster) for _ in z]
-        self.proposals_per_sweep = max(1, math.ceil(sum(z) * self.volume))
+        self.proposals_per_sweep = max(1, math.ceil(sum(z) * window.volume))
         self.proposals = 0
         self.accepted = 0
 
@@ -437,19 +434,19 @@ class _BirthDeathChain:
     def sweep(self):
         """One sweep, its draws made block by block in the module
         docstring's order; proposal t of a block reads entry t of each."""
-        rng, q, d = self.rng, len(self.z), len(self.sides)
-        rates, states = [z * self.volume for z in self.z], self.states
+        rng, q = self.rng, len(self.z)
+        rates, states = [z * self.window.volume for z in self.z], self.states
         for done in range(0, self.proposals_per_sweep, _BLOCK):
             k = min(_BLOCK, self.proposals_per_sweep - done)
             # NumPy draws nothing for rng.integers(1), so one colour skips it
             colours = (rng.integers(q, size=k) if q > 1
                        else np.zeros(k, dtype=np.int64))
             coins = rng.random(k)
-            centers = self.lower + rng.random((k, d)) * self.sides
+            centers = self.window.sample_points(rng, k)
             draws = [law.sample(rng, k) for law in self.laws]
             # proposal t reads its own colour's draw t; one colour reads all
-            radii = (np.asarray(draws[0], dtype=float) if q == 1 else
-                     np.array(draws, dtype=float)[colours, np.arange(k)])
+            radii = (draws[0] if q == 1 else
+                     np.array(draws)[colours, np.arange(k)])
             picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
             self.proposals += k
             self._block(colours, coins, centers, radii)
@@ -537,7 +534,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
         scan = self._scan_colours + _SCAN_BALL * present  # per birth
         if scan * k <= _LIST_FIXED:
             return
-        q, d = len(self.states), len(self.sides)
+        q, d = len(self.states), self.window.dimension
         stores = ([(j, *s.view()) for j, s in enumerate(self.states)]
                   + self._outside)  # (colour, centres, radii)
         births = np.flatnonzero(coins < 0.5)[::-1]  # the latest first
@@ -545,7 +542,7 @@ class WidomRowlinsonChain(_BirthDeathChain):
         n_all = len(r_all)
         unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # V_d
         pairs = n_all * float(np.minimum(
-            1.0, unit * (2.0 * r_all) ** d / self.volume).sum())
+            1.0, unit * (2.0 * r_all) ** d / self.window.volume).sum())
         if pairs + _LIST_FIXED >= scan * len(births):
             return
         colour = np.concatenate(

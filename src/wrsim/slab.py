@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Window
-from .distributions import q_tilde_transform
+from .distributions import _check_dimension, _shadow, q_tilde_transform
 from .sampling import RandomClusterChain, sample_poisson
 from .analysis import EstimationError
 
@@ -76,8 +76,7 @@ class SlabParams:
     def __post_init__(self):
         if not (0 < self.n < math.inf and 0 < self.k < math.inf):
             raise ValueError("slab requires finite n > 0 and k > 0")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_dimension(self.d)
         if not 0 <= self.z < math.inf:
             raise ValueError("activity must be finite and nonnegative")
         if self.q < 1:
@@ -102,12 +101,10 @@ class SlabParams:
 def transformed_radius(r, k, d):
     """Shadow length sqrt(r^2 - (d-1) k^2) when r^2 >= (d-1) k^2, else 0;
     in dimension 1 this is r itself."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if k < 0:
+    _check_dimension(d)
+    if not k >= 0:
         raise ValueError("k must be nonnegative")
-    r = np.asarray(r, dtype=float)
-    out = np.sqrt(np.maximum(r * r - (d - 1) * k * k, 0.0))
+    out = _shadow(np.asarray(r, dtype=float), (d - 1) * k * k)
     return float(out) if out.ndim == 0 else out
 
 
@@ -223,7 +220,7 @@ def estimate_p(params, replicas, rng):
 def geometric_moment(s_bar, p):
     """E[s^N] for N geometric on {1, 2, ...} with success probability p:
     s p / (1 - s (1 - p)) when p > 1 - 1/s, +inf otherwise."""
-    if s_bar < 1.0:
+    if not s_bar >= 1.0:
         raise ValueError("s_bar must be >= 1")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")

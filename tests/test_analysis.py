@@ -40,6 +40,17 @@ class TestPhi:
         value, se = phi_m(law, m, d, probes=200000, rng=np.random.default_rng(1))
         assert abs(value - exact) < 4 * se + 1e-3
 
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    @pytest.mark.parametrize("m_side, d", [
+        (4.0, -1), (4.0, 0), (4.0, 2.0), (4.0, True), (4.0, math.nan),
+        (math.nan, 2), (math.inf, 2), (-math.inf, 2), (0.0, 2)])
+    def test_bad_tile_geometry_is_refused(self, m_side, d, method):
+        # a "< 0"-style guard lets these through to a wrong probability
+        # (1.25 at d = -1, (0, 0) at m_side = inf) instead of an error
+        with pytest.raises(ValueError, match="m_side|dimension"):
+            phi_m(DiracRadius(0.1), m_side, d, probes=10,
+                  rng=np.random.default_rng(0), method=method)
+
     @pytest.mark.parametrize("probes", [0, -5])
     def test_probes_below_one_is_refused(self, probes):
         with pytest.raises(ValueError, match="probes must be >= 1"):

@@ -710,22 +710,32 @@ class TestMain:
         assert "constraint chain" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "bad.csv")
 
-    @pytest.mark.parametrize("params, sweep", [
-        ({"n": 1e200, "k": 1e200, "d": 2}, []),
+    @pytest.mark.parametrize("params, sweep, message", [
+        ({"n": 1e200, "k": 1e200, "d": 2}, [], "finite"),
         # only one sweep point overflows; none is sampled
         ({"n": 1e10, "k": 0.5, "d": 2},
-         [{"name": "k", "values": [0.5, 1e300]}]),
+         [{"name": "k", "values": [0.5, 1e300]}], "finite"),
+        # a repeated axis would overwrite the first one's values at every
+        # point and reseed the replicas on each of them
+        ({"n": 10, "k": 0.5, "d": 2},
+         [{"name": "z", "values": [1.0, 2.0]},
+          {"name": "z", "values": [3.0, 4.0]}],
+         "sweep[1].name: 'z' repeats an axis"),
+        # a name that is not a string is not a parameter, nor a crash
+        ({"n": 10, "k": 0.5, "d": 2}, [{"name": ["z"], "values": [1.0]}],
+         "sweep[0].name: ['z'] is not a sweepable parameter"),
     ])
-    def test_exit_two_on_oversized_slab(self, tmp_path, capsys, params, sweep):
-        # finite n and k whose slab volume overflows: a config error before
-        # any sampling, not one ValueError row per replica and exit 3
+    def test_exit_two_on_bad_slab_sweep(self, tmp_path, capsys, params,
+                                        sweep, message):
+        # finite n and k whose slab volume overflows, or a malformed sweep:
+        # a config error before any sampling, not rows and exit 3
         raw = {"experiment": "slab-renewal", "seed": 5, "replicas": 3,
                "out": str(tmp_path / "bad"), "sweep": sweep,
                "params": {"z": 4.0, **params,
                           "law": {"kind": "pareto", "alpha": 0.7,
                                   "xmin": 0.3}}}
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "bad.csv")
         assert not os.path.exists(tmp_path / "bad.meta.json")
 

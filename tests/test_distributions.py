@@ -27,7 +27,7 @@ class TestSampling:
     def test_dirac_constant(self):
         rng = np.random.default_rng(0)
         law = DiracRadius(2.5)
-        assert law.sample(rng) == 2.5
+        assert law.sample(rng, 1)[0] == 2.5
         assert np.all(law.sample(rng, 100) == 2.5)
 
     def test_uniform_mean(self):
@@ -40,6 +40,29 @@ class TestSampling:
         draws = ParetoRadius(2.0, 1.0).sample(rng, 100000)
         # survival (2/1)^-2 = 0.25
         assert abs((draws > 2.0).mean() - 0.25) < 0.01
+
+    @pytest.mark.parametrize("law", ALL_LAWS + [
+        ExponentialRadius(0.5),
+        q_tilde_transform(ParetoRadius(0.8, 0.5), 0.5, 3),
+        AtomMixtureRadius(0.4, AtomMixtureRadius(
+            0.2, q_tilde_transform(UniformRadius(0.2, 1.5), 0.5, 2)))],
+        ids=lambda l: l.kind)
+    @pytest.mark.parametrize("size", [0, 5, (2, 3)], ids=str)
+    def test_draw_contract(self, law, size):
+        # every law, nested ones too: a fresh, writable, nonnegative float64
+        # array of shape size, which the caller may overwrite
+        rng = np.random.default_rng(3)
+        first = law.sample(rng, size)
+        second = law.sample(rng, size)
+        for out in (first, second):
+            assert out.dtype == np.float64
+            assert out.shape == np.empty(size).shape
+            assert out.flags.writeable
+            assert np.all(out >= 0.0)
+        assert not np.shares_memory(first, second)
+        kept = second.copy()
+        first.fill(-1.0)
+        assert np.array_equal(second, kept)
 
     def test_determinism(self):
         for law in ALL_LAWS:
@@ -141,7 +164,7 @@ class TestQTildeTransform:
     def test_dirac_sqrt2(self):
         tilde = q_tilde_transform(DiracRadius(math.sqrt(2.0)), 1.0, 2)
         rng = np.random.default_rng(0)
-        assert tilde.sample(rng) == pytest.approx(1.0)
+        assert tilde.sample(rng, 1)[0] == pytest.approx(1.0)
         assert float(tilde.cdf(0.999)) == 0.0
         assert float(tilde.cdf(1.0)) == 1.0
 

@@ -48,6 +48,14 @@ class TestTransformedRadius:
     def test_d3(self):
         assert transformed_radius(math.sqrt(3.0), 1.0, 3) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("k, d", [
+        (math.nan, 2), (math.nan, 1), (-1.0, 2), (1.0, 0), (1.0, 1.5),
+        (1.0, math.nan), (1.0, True)])
+    def test_bad_k_or_dimension_refused(self, k, d):
+        # NaN passes a "k < 0" test and returned NaN lengths
+        with pytest.raises(ValueError, match="k must|dimension"):
+            transformed_radius(np.array([0.5, 2.0]), k, d)
+
     def test_vectorized(self):
         r = np.array([0.5, 1.0, 2.0])
         out = transformed_radius(r, 1.0, 2)
@@ -181,6 +189,12 @@ class TestGeometricMoment:
 
     def test_worked_value(self):
         assert geometric_moment(2.0, 0.75) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("s_bar", [math.nan, 0.5, -math.inf])
+    def test_bad_s_bar_refused(self, s_bar):
+        # NaN passes an "s_bar < 1" test and returned NaN
+        with pytest.raises(ValueError, match="s_bar"):
+            geometric_moment(s_bar, 0.5)
 
     def test_against_partial_sums(self):
         for s_bar in (1.0, 1.5, 2.0, 3.0):
