@@ -18,7 +18,7 @@ from wrsim.distributions import (AtomMixtureRadius, DiracRadius,
                                  ExponentialRadius, ParetoRadius,
                                  TransformedRadius, UniformRadius)
 from wrsim.geometry import Window
-from wrsim.sampling import (BoundaryCondition, GibbsParams,
+from wrsim.sampling import (_AUTH_CHUNK, BoundaryCondition, GibbsParams,
                             RandomClusterChain, WidomRowlinsonChain,
                             sample_poisson, sample_wr_rejection_many)
 
@@ -73,21 +73,26 @@ def test_sample_poisson_stream(name):
 
 
 REJECTION_CASES = {
-    "q2-ordered-batch64": (2, BoundaryCondition.ordered(1, 0.5), 64, "2f7aaa12913367e7b435"),
-    "q3-free-batch1": (3, BoundaryCondition.free(), 1, "60c979ddc00e1dfc92ac"),
+    "q2-ordered-batch64": (2, BoundaryCondition.ordered(1, 0.5), 64, 6, "2f7aaa12913367e7b435"),
+    "q3-free-batch1": (3, BoundaryCondition.free(), 1, 6, "60c979ddc00e1dfc92ac"),
+    # three test chunks, the last one partial, and a second round: samples
+    # come from rows on both sides of every chunk seam
+    "q2-free-batch1061": (2, BoundaryCondition.free(), 2 * _AUTH_CHUNK + 37,
+                          1200, "06440ffdfb17772978ea"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTION_CASES))
 def test_rejection_stream(name):
-    q, boundary, batch, want = REJECTION_CASES[name]
+    q, boundary, batch, n_samples, want = REJECTION_CASES[name]
     params = GibbsParams(q=q, z=(0.4,) * q,
                          laws=(NESTED, UniformRadius(0.1, 0.4),
                                DiracRadius(0.2))[:q],
                          window=Window([0.0, 0.0], [2.0, 1.5]),
                          boundary=boundary)
     rng = np.random.default_rng(31)
-    samples, attempts = sample_wr_rejection_many(params, 6, rng, batch=batch)
+    samples, attempts = sample_wr_rejection_many(params, n_samples, rng,
+                                                 batch=batch)
     assert _mc_digest(rng, samples, attempts) == want
 
 
