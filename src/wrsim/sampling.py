@@ -271,44 +271,66 @@ def build_boundary(params, rng):
 
 def _batch_authorized(params, batch, rng, outside):
     """Vectorised rejection round: draw ``batch`` independent multi-type
-    Poisson configurations and return the padded arrays plus the authorized
-    mask.  Padding slots carry radius NaN, which meets nothing."""
-    window = params.window
-    counts, centers, radii = [], [], []
+    Poisson configurations; return per colour the row offsets, centres and
+    radii, then the authorized mask.  Colours are stored ragged: row k's
+    balls are entries ``offsets[k]:offsets[k + 1]``, only drawn balls kept.
+
+    A colour draws its counts n, then centres (in row chunks, which read the
+    generator as one draw would) and radii (in one draw: a law may make
+    several per call) for max(n) slots per row, of which row k keeps n[k].
+    The tests take the rows sorted by their largest count, ``_AUTH_CHUNK``
+    at a time, padded to the chunk's counts with radius NaN (meets nothing).
+    """
+    window, d = params.window, params.window.dimension
+    counts, offsets, centers, radii = [], [], [], []
     for i in range(params.q):
-        n_i = rng.poisson(params.z[i] * window.volume, batch)
-        m = int(n_i.max()) if batch else 0
-        counts.append(n_i)
-        centers.append(window.sample_points(rng, batch * m)
-                       .reshape(batch, m, window.dimension))
-        r = params.laws[i].sample(rng, (batch, m))
-        radii.append(np.where(np.arange(m) < n_i[:, None], r, np.nan))
+        n = rng.poisson(params.z[i] * window.volume, batch)
+        m = int(n.max())
+        filled = np.arange(m) < n[:, None]
+        counts.append(n)
+        offsets.append(np.concatenate(([0], np.cumsum(n))))
+        chunks = np.split(filled, range(_AUTH_CHUNK, batch, _AUTH_CHUNK))
+        centers.append(np.concatenate(
+            [window.sample_points(rng, len(f) * m).reshape(len(f), m, d)[f]
+             for f in chunks]))
+        radii.append(params.laws[i].sample(rng, (batch, m))[filled])
     bad = np.zeros(batch, dtype=bool)
     boundary = [(c.centers, c.radii) for c in outside.configs]
+    order = np.argsort(np.max(counts, axis=0), kind="stable")
     for lo in range(0, batch, _AUTH_CHUNK):
-        rows = slice(lo, lo + _AUTH_CHUNK)
-        for i in range(params.q):
+        rows = order[lo:lo + _AUTH_CHUNK]
+        padded = [_padded(*colour, rows)
+                  for colour in zip(offsets, centers, radii)]
+        hit = np.zeros(len(rows), dtype=bool)
+        for i, (ci, ri) in enumerate(padded):
             # (rows, m_i, 1) against (rows, 1, m_j) for colour j's row balls,
             # and against (m_j,) for its boundary balls, shared by every row
-            ci, ri = centers[i][rows, :, None], radii[i][rows, :, None]
-            for j in range(i + 1, params.q):
-                bad[rows] |= meets(ci, ri, centers[j][rows, None],
-                                   radii[j][rows, None]).any(axis=(1, 2))
-            for j in range(params.q):
-                bc, br = boundary[j]
+            ci, ri = ci[:, :, None], ri[:, :, None]
+            for cj, rj in padded[i + 1:]:
+                hit |= meets(ci, ri, cj[:, None], rj[:, None]).any(axis=(1, 2))
+            for j, (bc, br) in enumerate(boundary):
                 if j != i and len(bc):
-                    bad[rows] |= meets(ci, ri, bc, br).any(axis=(1, 2))
-    return counts, centers, radii, ~bad
+                    hit |= meets(ci, ri, bc, br).any(axis=(1, 2))
+        bad[rows] = hit
+    return offsets, centers, radii, ~bad
 
 
-def _extract_mc(params, counts, centers, radii, row):
-    # the first n_i slots of every padded row are the valid balls
-    configs = []
-    for i in range(params.q):
-        n = int(counts[i][row])
-        configs.append(Configuration._frozen(centers[i][row, :n].copy(),
-                                             radii[i][row, :n].copy()))
-    return MultiTypeConfiguration(configs)
+def _padded(offsets, centers, radii, rows):
+    """Rows ``rows`` of one ragged colour as (rows, m, d) centres and
+    (rows, m) radii, m their largest count; empty slots have radius NaN."""
+    start, stop = offsets[rows], offsets[rows + 1]
+    slots = start[:, None] + np.arange(int((stop - start).max()))
+    return (np.take(centers, slots, axis=0, mode="clip"),
+            np.where(slots < stop[:, None],
+                     np.take(radii, slots, mode="clip"), np.nan))
+
+
+def _extract_mc(offsets, centers, radii, row):
+    # row k of a ragged colour is slots offsets[k]:offsets[k + 1]
+    return MultiTypeConfiguration(
+        [Configuration._frozen(c[o[row]:o[row + 1]].copy(),
+                               r[o[row]:o[row + 1]].copy())
+         for o, c, r in zip(offsets, centers, radii)])
 
 
 def _rejection_rounds(params, attempts, rng, batch):
@@ -336,11 +358,10 @@ def sample_wr_rejection_many(params, n_samples, rng, max_attempts=10 ** 8,
     if batch < 1:
         raise ValueError("batch must be >= 1")
     samples, attempts = [], 0
-    for counts, centers, radii, ok in _rejection_rounds(params, max_attempts,
-                                                        rng, batch):
+    for offsets, centers, radii, ok in _rejection_rounds(params, max_attempts,
+                                                         rng, batch):
         rows = np.flatnonzero(ok)[:n_samples - len(samples)]
-        samples += [_extract_mc(params, counts, centers, radii, int(row))
-                    for row in rows]
+        samples += [_extract_mc(offsets, centers, radii, row) for row in rows]
         if len(samples) == n_samples:
             return samples, attempts + int(rows[-1]) + 1
         attempts += len(ok)

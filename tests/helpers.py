@@ -12,7 +12,7 @@ import numpy as np
 from wrsim import sampling
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
 from wrsim.components import connected_components
-from wrsim.geometry import Configuration, Window
+from wrsim.geometry import Configuration, Window, meets
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
                             MultiTypeConfiguration, RandomClusterChain,
                             RejectionBudgetError, build_boundary,
@@ -232,6 +232,42 @@ def reference_rejection(params, rng, max_attempts=100000):
         if is_authorized(mc, outside):
             return mc, attempt
     raise RejectionBudgetError(max_attempts)
+
+
+def reference_padded_round(params, batch, rng, outside):
+    """A vectorised rejection round on padded storage: colour i's ``batch``
+    rows as (batch, m_i, d) centres and (batch, m_i) radii, m_i the round's
+    largest count, the empty slots with radius NaN; returns (counts,
+    centres, radii, authorized mask).
+
+    Draws per colour, in this order: the counts, then one ``batch * m_i``
+    centre draw, then one (batch, m_i) radius draw.  Rows are tested
+    ``sampling._AUTH_CHUNK`` at a time, each at the full width m_i.
+    """
+    window = params.window
+    counts, centers, radii = [], [], []
+    for i in range(params.q):
+        n_i = rng.poisson(params.z[i] * window.volume, batch)
+        m = int(n_i.max()) if batch else 0
+        counts.append(n_i)
+        centers.append(window.sample_points(rng, batch * m)
+                       .reshape(batch, m, window.dimension))
+        r = params.laws[i].sample(rng, (batch, m))
+        radii.append(np.where(np.arange(m) < n_i[:, None], r, np.nan))
+    bad = np.zeros(batch, dtype=bool)
+    boundary = [(c.centers, c.radii) for c in outside.configs]
+    for lo in range(0, batch, sampling._AUTH_CHUNK):
+        rows = slice(lo, lo + sampling._AUTH_CHUNK)
+        for i in range(params.q):
+            ci, ri = centers[i][rows, :, None], radii[i][rows, :, None]
+            for j in range(i + 1, params.q):
+                bad[rows] |= meets(ci, ri, centers[j][rows, None],
+                                   radii[j][rows, None]).any(axis=(1, 2))
+            for j in range(params.q):
+                bc, br = boundary[j]
+                if j != i and len(bc):
+                    bad[rows] |= meets(ci, ri, bc, br).any(axis=(1, 2))
+    return counts, centers, radii, ~bad
 
 
 def covered_oracle(centers, radii, probes):

@@ -224,13 +224,13 @@ class TestRejection:
         rng = np.random.default_rng(13)
         outside = build_boundary(params, rng)
         batch = 2 * _AUTH_CHUNK + 37
-        counts, centers, radii, ok = _batch_authorized(params, batch, rng,
-                                                        outside)
+        offsets, centers, radii, ok = _batch_authorized(params, batch, rng,
+                                                         outside)
         assert len(ok) == batch and 0 < ok.sum() < batch
         if boundary.kind == "ordered":
             assert outside.total_count() > 0
         for row in range(batch):
-            mc = _extract_mc(params, counts, centers, radii, row)
+            mc = _extract_mc(offsets, centers, radii, row)
             assert ok[row] == is_authorized(mc, outside)
 
 
