@@ -96,8 +96,14 @@ class EntropyBoundInputs:
             raise ValueError("alpha must be a probability vector")
         if any(not 0.0 <= p <= 1.0 for p in self.phi):
             raise ValueError("phi entries must lie in [0, 1]")
-        if not (0 < self.m_side < math.inf and self.d >= 1):
-            raise ValueError("invalid tile geometry")
+        _check_dimension(self.d)
+        try:  # a float power raises on overflow and underflows to 0
+            volume = float(self.m_side) ** int(self.d)
+        except OverflowError:
+            volume = math.inf
+        if not (0 < self.m_side < math.inf and 0 < volume < math.inf):
+            raise ValueError("invalid tile geometry: m_side and the tile "
+                             "volume m_side ** d must be positive and finite")
 
     @property
     def q(self):

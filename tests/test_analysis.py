@@ -176,6 +176,24 @@ class TestThreshold:
         with pytest.raises(ValueError):
             dataclasses.replace(WORKED, **{field: value})
 
+    @pytest.mark.parametrize("m_side, d", [
+        (4.0, 2.5), (4.0, True), (4.0, 0), (4.0, math.nan),
+        (1e200, 2), (1e200, np.int64(2)),
+        pytest.param(10 ** 400, 1, id="int-10**400-1"), (1e-200, 2)])
+    def test_bad_tile_dimension_or_volume_refused(self, m_side, d):
+        # a tile volume that overflows or underflows made every run row fail
+        # (exit 3); a non-integer or boolean d used to pass
+        with pytest.raises(ValueError, match="dimension|tile geometry"):
+            dataclasses.replace(WORKED, m_side=m_side, d=d)
+        with pytest.raises(ValueError, match="dimension|tile geometry"):
+            EntropyBoundInputs.with_default_margins((0.5, 0.5), m_side, d,
+                                                    (0.9, 0.9))
+
+    @pytest.mark.parametrize("m_side, d", [(1e100, 3), (4.0, np.int64(2))])
+    def test_large_finite_tile_accepted(self, m_side, d):
+        inputs = dataclasses.replace(WORKED, m_side=m_side, d=d)
+        assert inputs.tile_volume == m_side ** d
+
     def test_degenerate_alpha_fails(self):
         inputs = EntropyBoundInputs(alpha=(1.0, 0.0), beta=0.95,
                                     gamma=0.1, epsilon=0.2, m_side=4.0, d=2,

@@ -606,6 +606,9 @@ class TestMain:
                                     "shell": True}}),
         ("domination", {"threshold": True}),
         ("entropy-certificate", {"m_side": True}),
+        # finite, but the tile volume m_side ** d overflows or underflows
+        ("entropy-certificate", {"m_side": 1e200}),
+        ("entropy-certificate", {"m_side": 1e-200}),
         ("condition-check", {"q_bar": True, "k": 1.0}),
         ("condition-check", {"q_bar": 2.5, "k": True}),
     ])
@@ -623,6 +626,7 @@ class TestMain:
                           **good, **params}}
         assert main(["--config", self.write_config(tmp_path, raw)]) == 2
         assert not os.path.exists(tmp_path / "bad.csv")
+        assert not os.path.exists(tmp_path / "bad.meta.json")
 
     @pytest.mark.parametrize("bad", ["x", True])
     def test_exit_two_on_bad_param_a_sweep_axis_shadows(self, tmp_path,
