@@ -304,6 +304,24 @@ class TestRunAndEmit:
         assert load_records(stem + ".csv") == (["a", "b"],
                                                [{"a": "x\ry", "b": "\r"}])
 
+    @pytest.mark.parametrize("value, text", [
+        (True, "1"), (False, "0"), (0, "0"), (-7, "-7"),
+        (2 ** 70, "1180591620717411303424"), (0.1, "0.1"), (1e-09, "1e-09"),
+        (2.5e300, "2.5e+300"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+        (float("nan"), "nan"), (-0.0, "-0.0"), ("pareto", "pareto"),
+        ("", ""), (None, ""),
+        (np.bool_(True), "1"), (np.bool_(False), "0"),
+        (np.int64(-5), "-5"), (np.int64(2 ** 62), "4611686018427387904"),
+        (np.float32(0.1), "0.10000000149011612"), (np.float64(0.1), "0.1"),
+        (np.float64("nan"), "nan"), (np.float64("-inf"), "-inf"),
+        (np.float64(-0.0), "-0.0")], ids=repr)
+    def test_cell_text(self, tmp_path, value, text):
+        # None is empty, booleans 1/0, integers bare and floats in shortest
+        # round-trip form, whether the cell is a built-in or a NumPy scalar
+        stem = str(tmp_path / "cell")
+        emit_records([{"a": value, "b": 1}], ["a", "b"], stem, "csv", {})
+        assert open(stem + ".csv", "rb").read() == f"a,b\n{text},1\n".encode()
+
     def test_single_row_field_order(self, tmp_path):
         stem = str(tmp_path / "one")
         emit_records([{"a": 1, "b": 0.5, "error": ""}], ["a", "b", "error"],
