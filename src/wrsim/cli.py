@@ -691,10 +691,9 @@ def run_experiment(config):
 # ---------------------------------------------------------------- emission
 
 def _format_cell(value):
-    """A cell's CSV text: "" for None, 1 or 0 for a boolean, a bare integer,
-    a float's shortest round-trip form, and str() of anything else."""
-    if value is None:
-        return ""
+    """A cell's CSV text where :data:`_CELL_TEXT` has no exact type, as for
+    NumPy scalars: 1 or 0 for a boolean, a bare integer, a float's shortest
+    round-trip form, and str() of anything else."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -704,9 +703,8 @@ def _format_cell(value):
     return str(value)
 
 
-# :func:`_format_cell` for the built-in cell types, looked up by exact type:
-# nearly every cell is one of them, and one lookup costs less than the
-# chain, which NumPy scalars still take
+# the CSV text of the built-in cell types, looked up by exact type: nearly
+# every cell is one of them, and one lookup costs less than the chain
 _CELL_TEXT = {type(None): lambda v: "", bool: lambda v: "1" if v else "0",
               int: str, float: repr, str: str}
 

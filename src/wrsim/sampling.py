@@ -326,7 +326,7 @@ def _padded(offsets, centers, radii, rows):
 
 
 def _extract_mc(offsets, centers, radii, row):
-    # row k of a ragged colour is slots offsets[k]:offsets[k + 1]
+    # row k of a ragged colour is entries offsets[k]:offsets[k + 1]
     return MultiTypeConfiguration(
         [Configuration._frozen(c[o[row]:o[row + 1]].copy(),
                                r[o[row]:o[row + 1]].copy())
