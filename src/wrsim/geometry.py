@@ -8,7 +8,8 @@ conflict lists), and which balls of one set meet some ball of another
 (:func:`meets_any`).  Both put the balls up to the 90th-percentile radius in
 one k-d tree and test each larger ball directly against the balls in its
 strip along the first axis, vectorised over groups of strips of bounded
-size.
+size; :func:`meets_any` tests a few balls against a few as one dense matrix
+instead.
 
 Conventions
 -----------
@@ -161,6 +162,9 @@ def meets(ca, ra, cb, rb):
 # radius quantile h splitting balls into k-d tree queries and direct scans
 _SPLIT_QUANTILE = 0.9
 _CHUNK = 1 << 12  # strip candidates a direct scan tests together
+# a meets_any call over at most this many ball pairs tests them all at once,
+# which on a few balls costs less than the quantile, sort and tree
+_DENSE_PAIRS = _CHUNK
 
 
 def _inflated(distance):
@@ -245,7 +249,8 @@ def meets_any(a, b):
     """Mask over the balls of ``a``: True where the closed ball meets some
     closed ball of ``b``.
 
-    The balls of ``b`` above ``h``, its 90th-percentile radius, go first,
+    When ``len(a) * len(b)`` is at most ``_DENSE_PAIRS`` the mask comes from
+    the full matrix of :func:`meets`.  Otherwise the balls of ``b`` above ``h``, its 90th-percentile radius, go first,
     largest first, each tested directly against the balls of ``a`` in its
     strip ``|x_0 - c_0| <= r + max r_a``, in groups of strips of about
     ``_CHUNK`` candidates, until every ball of ``a`` is hit.  A k-d tree
@@ -257,6 +262,8 @@ def meets_any(a, b):
     if len(a) == 0 or len(b) == 0:
         return hit
     (ca, ra), (cb, rb) = (a.centers, a.radii), (b.centers, b.radii)
+    if len(a) * len(b) <= _DENSE_PAIRS:
+        return meets(ca[:, None, :], ra[:, None], cb, rb).any(axis=1)
     h = float(np.quantile(rb, _SPLIT_QUANTILE))
     large = np.flatnonzero(rb > h)
     if len(large):

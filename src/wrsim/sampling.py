@@ -11,10 +11,10 @@ Two exact-in-the-limit routes are provided and cross-validated: plain
 rejection against the multi-type Poisson draw, and a birth-death Metropolis
 chain.  The colour-blind route goes through the continuum random cluster
 measure q^{N_cc} Poisson(z, Q) / Z plus uniform colouring of components
-(Fortuin-Kasteleyn representation); both must agree in distribution for
-symmetric parameters.
+(Fortuin-Kasteleyn representation), sampled by Chayes-Machta block moves;
+both must agree in distribution for symmetric parameters.
 
-Birth-death kernel (one proposal):
+Birth-death kernel of the hard-core chain (one proposal):
   * a colour i uniformly, then birth or death with probability 1/2;
   * birth: a uniform centre and a radius from Q_i, accepted when a uniform
     falls below z_i |L| / (n_i + 1), and rejected outright when the result
@@ -27,10 +27,22 @@ this order: k colours (only when there is more than one colour), k
 birth/death coins, k centres, k radii from each colour's law, k death picks
 and k acceptance uniforms, every one of them used or not; proposal t reads
 entry t of each.  Nothing is drawn ahead of a sweep, so code that shares
-the generator between sweeps sees it as the sweeps left it.  The cluster
-chain is the one-colour kernel with each ratio multiplied by
-q^(delta N_cc), where delta N_cc is the exact component-count change of
-the proposal, obtained from the affected component only.
+the generator between sweeps sees it as the sweeps left it.
+
+Block move (one sweep of the cluster chain, any real q >= 1):
+  * one uniform per component, the components in root order (by smallest
+    member); a component is active when its uniform falls below 1/q.  The
+    uniforms are drawn at q = 1 too, where every component is active;
+  * the inactive balls stay, and :func:`colour_update` adds a Poisson draw
+    thinned by them: its count, then its centres, then its radii;
+  * the new state holds the inactive balls in their old order, then the
+    kept draws in draw order, and is labelled again from scratch.
+Writing q^{N_cc} = sum over component subsets S of (q - 1)^{#components
+not in S} makes (balls, active set) a joint law in which, given the balls,
+each component is active with probability 1/q, and, given the inactive
+balls, the active ones are a Poisson process thinned by them.  So the move
+is an exact Gibbs step (Chayes and Machta, Physica A 254, 1998), and with
+probability q^{-N_cc} a fresh Poisson draw.
 
 The hard-core chain checks a block's births by a direct scan or against
 per-block conflict lists (see :class:`WidomRowlinsonChain`), whichever its
@@ -64,6 +76,7 @@ __all__ = [
     "authorized_count",
     "WidomRowlinsonChain",
     "RandomClusterChain",
+    "colour_update",
     "fk_coloring",
     "effective_sample_size",
     "dump_multitype_configuration",
@@ -205,6 +218,17 @@ def sample_poisson(window, z, law, rng):
     n = rng.poisson(z * window.volume)
     centers = window.sample_points(rng, n)
     return Configuration(centers, law.sample(rng, n))
+
+
+def colour_update(window, z, law, blockers, rng):
+    """A Poisson draw with intensity z Lebesgue (x) Q on the window, thinned
+    to the balls that meet no ball of ``blockers``: one
+    :func:`sample_poisson` and one :func:`~wrsim.geometry.meets_any`.
+    Returns (the kept balls in draw order, the number of balls drawn)."""
+    draw = sample_poisson(window, z, law, rng)
+    free = ~meets_any(draw, blockers)
+    return (Configuration._frozen(draw.centers[free], draw.radii[free]),
+            len(draw))
 
 
 def sample_multitype_poisson(params, rng):
@@ -377,17 +401,15 @@ def authorized_count(params, attempts, rng):
 
 class _Buffer:
     """Growable ball store with swap-remove deletion, holding an int
-    ``labels`` entry per ball and, with ``cluster``, the cluster chain's
-    ``adj`` too (else None): every array doubles together and moves its
+    ``labels`` entry per ball: every array doubles together and moves its
     last entry together."""
 
-    __slots__ = ("centers", "radii", "labels", "adj", "n")
+    __slots__ = ("centers", "radii", "labels", "n")
 
-    def __init__(self, d, cluster=False, cap=8):
+    def __init__(self, d, cap=8):
         self.centers = np.empty((cap, d))
         self.radii = np.empty(cap)
         self.labels = np.empty(cap, dtype=np.int64)
-        self.adj = np.zeros((cap, cap), dtype=bool) if cluster else None
         self.n = 0
 
     def append(self, x, r):
@@ -396,8 +418,6 @@ class _Buffer:
             self.centers = np.concatenate([self.centers, np.empty_like(self.centers)])
             self.radii = np.concatenate([self.radii, np.empty_like(self.radii)])
             self.labels = np.concatenate([self.labels, np.empty_like(self.labels)])
-            if self.adj is not None:
-                self.adj = np.pad(self.adj, (0, n))
         self.centers[n] = x
         self.radii[n] = r
         self.n = n + 1
@@ -408,10 +428,6 @@ class _Buffer:
             self.centers[j] = self.centers[m]
             self.radii[j] = self.radii[m]
             self.labels[j] = self.labels[m]
-            if self.adj is not None:
-                self.adj[j, :m] = self.adj[m, :m]
-                self.adj[:m, j] = self.adj[:m, m]
-                self.adj[j, j] = True
 
     def view(self):
         return self.centers[:self.n], self.radii[:self.n]
@@ -421,82 +437,12 @@ class _Buffer:
                                      self.radii[:self.n].copy())
 
 
-class _BirthDeathChain:
-    """The birth-death kernel of the module docstring, one ball store per
-    colour.  Subclasses define ``_birth_weight(i, x, r)``, called once per
-    birth proposal in proposal order: None blocks the birth, a float scales
-    its ratio.  :meth:`_block` sees each block's draws first;
-    :meth:`_death_weight` weights deaths; :meth:`_add` and :meth:`_delete`
-    keep their bookkeeping on acceptance."""
-
-    def __init__(self, window, z, laws, rng, cluster=False):
-        self.z, self.laws, self.rng, self.window = z, laws, rng, window
-        self.states = [_Buffer(window.dimension, cluster) for _ in z]
-        self.proposals_per_sweep = max(1, math.ceil(sum(z) * window.volume))
-        self.proposals = 0
-        self.accepted = 0
-
-    @property
-    def acceptance_rate(self):
-        return self.accepted / self.proposals if self.proposals else 0.0
-
-    def _death_weight(self, i, j):
-        return 1.0
-
-    def _add(self, i, x, r):
-        self.states[i].append(x, r)
-
-    def _delete(self, i, j):
-        self.states[i].remove(j)
-
-    def _block(self, colours, coins, centers, radii):
-        """Called with a block's draws (arrays) before its first proposal."""
-
-    def sweep(self):
-        """One sweep, its draws made block by block in the module
-        docstring's order; proposal t of a block reads entry t of each."""
-        rng, q = self.rng, len(self.z)
-        rates, states = [z * self.window.volume for z in self.z], self.states
-        for done in range(0, self.proposals_per_sweep, _BLOCK):
-            k = min(_BLOCK, self.proposals_per_sweep - done)
-            # NumPy draws nothing for rng.integers(1), so one colour skips it
-            colours = (rng.integers(q, size=k) if q > 1
-                       else np.zeros(k, dtype=np.int64))
-            coins = rng.random(k)
-            centers = self.window.sample_points(rng, k)
-            draws = [law.sample(rng, k) for law in self.laws]
-            # proposal t reads its own colour's draw t; one colour reads all
-            radii = (draws[0] if q == 1 else
-                     np.array(draws)[colours, np.arange(k)])
-            picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
-            self.proposals += k
-            self._block(colours, coins, centers, radii)
-            for i, coin, x, r, pick, u in zip(colours.tolist(), coins.tolist(),
-                                              centers, radii.tolist(), picks,
-                                              uniforms):
-                n = states[i].n
-                if coin < 0.5:  # birth
-                    weight = self._birth_weight(i, x, r)
-                    if weight is not None and u < rates[i] / (n + 1) * weight:
-                        self.accepted += 1
-                        self._add(i, x, r)
-                elif n:  # death
-                    j = int(pick * n)
-                    if u < n / rates[i] * self._death_weight(i, j):
-                        self.accepted += 1
-                        self._delete(i, j)
-
-    def run(self, sweeps):
-        for _ in range(sweeps):
-            self.sweep()
-        return self
-
-
-class WidomRowlinsonChain(_BirthDeathChain):
+class WidomRowlinsonChain:
     """Birth-death Metropolis chain targeting the finite-volume hard-core
-    specification: the kernel with a birth blocked when it meets a ball of
-    another colour, in the window or in the boundary ``self.boundary``
-    (drawn from ``params`` first).
+    specification: the kernel of the module docstring, one ball store per
+    colour, with a birth blocked when it meets a ball of another colour, in
+    the window or in the boundary ``self.boundary`` (drawn from ``params``
+    first).
 
     A block checks its births by a direct scan of the other colours' balls,
     or against conflict lists.  Call the balls in the window and the
@@ -524,7 +470,12 @@ class WidomRowlinsonChain(_BirthDeathChain):
     """
 
     def __init__(self, params, rng):
-        super().__init__(params.window, params.z, params.laws, rng)
+        self.z, self.laws, self.rng = params.z, params.laws, rng
+        self.window = params.window
+        self.states = [_Buffer(self.window.dimension) for _ in self.z]
+        self.proposals_per_sweep = max(1, math.ceil(params.expected_count))
+        self.proposals = 0
+        self.accepted = 0
         self.boundary = build_boundary(params, rng)
         self._outside = [(j, b.centers, b.radii)  # the nonempty boundary colours
                          for j, b in enumerate(self.boundary.configs) if len(b)]
@@ -532,8 +483,45 @@ class WidomRowlinsonChain(_BirthDeathChain):
         self._scan_colours = _SCAN_COLOUR * (len(self.states) - 1)
         self._alive = None
 
-    # traced per class: a profiler wraps the methods in each class's own dict
-    sweep, run = _BirthDeathChain.sweep, _BirthDeathChain.run
+    @property
+    def acceptance_rate(self):
+        return self.accepted / self.proposals if self.proposals else 0.0
+
+    def sweep(self):
+        """One sweep, its draws made block by block in the module
+        docstring's order; proposal t of a block reads entry t of each."""
+        rng, q = self.rng, len(self.z)
+        rates, states = [z * self.window.volume for z in self.z], self.states
+        for done in range(0, self.proposals_per_sweep, _BLOCK):
+            k = min(_BLOCK, self.proposals_per_sweep - done)
+            # NumPy draws nothing for rng.integers(1), so one colour skips it
+            colours = (rng.integers(q, size=k) if q > 1
+                       else np.zeros(k, dtype=np.int64))
+            coins = rng.random(k)
+            centers = self.window.sample_points(rng, k)
+            draws = [law.sample(rng, k) for law in self.laws]
+            # proposal t reads its own colour's draw t; one colour reads all
+            radii = (draws[0] if q == 1 else
+                     np.array(draws)[colours, np.arange(k)])
+            picks, uniforms = rng.random(k).tolist(), rng.random(k).tolist()
+            self.proposals += k
+            self._block(colours, coins, centers, radii)
+            for i, coin, x, r, pick, u in zip(colours.tolist(), coins.tolist(),
+                                              centers, radii.tolist(), picks,
+                                              uniforms):
+                n = states[i].n
+                if coin < 0.5:  # birth
+                    if not self._blocked(i, x, r) and u < rates[i] / (n + 1):
+                        self.accepted += 1
+                        self._add(i, x, r)
+                elif n and u < n / rates[i]:  # death
+                    self.accepted += 1
+                    self._delete(i, int(pick * n))
+
+    def run(self, sweeps):
+        for _ in range(sweeps):
+            self.sweep()
+        return self
 
     @property
     def counts(self):
@@ -544,8 +532,9 @@ class WidomRowlinsonChain(_BirthDeathChain):
         return int(sum(s.n for s in self.states))
 
     def _block(self, colours, coins, centers, radii):
-        # choose conflict lists or direct scans, and build the lists; the
-        # last block's lists go first, so that two never share memory
+        # called with a block's draws before its first proposal: choose
+        # conflict lists or direct scans, and build the lists; the last
+        # block's lists go first, so that two never share memory
         if self._alive is not None:
             self._alive = self._conflicts = self._starts = None
         present = self._n_outside
@@ -585,23 +574,25 @@ class WidomRowlinsonChain(_BirthDeathChain):
             s.labels[:s.n] = np.arange(first, first + s.n)
             first += s.n
 
-    def _birth_weight(self, i, x, r):
+    def _blocked(self, i, x, r):
+        """Whether a birth of colour i at (x, r) meets a ball of another
+        colour; called once per birth proposal, in proposal order."""
         alive = self._alive
         if alive is not None:
             b = self._birth
             self._birth = b - 1
             for j in self._conflicts[self._starts[b]:self._starts[b + 1]]:
                 if alive[j]:
-                    return None
-            return 1.0
+                    return True
+            return False
         for j, s in enumerate(self.states):
             n = s.n
             if j != i and n and meets(s.centers[:n], s.radii[:n], x, r).any():
-                return None
+                return True
         for j, c, rad in self._outside:
             if j != i and meets(c, rad, x, r).any():
-                return None
-        return 1.0
+                return True
+        return False
 
     def _add(self, i, x, r):
         s = self.states[i]
@@ -619,26 +610,13 @@ class WidomRowlinsonChain(_BirthDeathChain):
         return MultiTypeConfiguration([s.snapshot() for s in self.states])
 
 
-class RandomClusterChain(_BirthDeathChain):
-    """Birth-death chain for the q^{N_cc}-weighted Poisson process: the
-    kernel with one colour.
+class RandomClusterChain:
+    """Chayes-Machta block moves for the q^{N_cc}-weighted Poisson process
+    (module docstring), from the empty state.
 
-    Acceptance ratios carry the exact q^(delta N_cc) factor: a birth touching
-    m distinct components changes N_cc by 1 - m; a death splits its component
-    into ``pieces`` parts and changes N_cc by pieces - 1.  A death that
-    splits nothing is mostly settled from the removed ball's neighbours
-    alone; the rest run a split search seeded at those neighbours that
-    stops once one search has joined them all (see
-    :meth:`_death_pieces`).  Component labels are maintained incrementally;
-    an accepted split relabels only the closed-off pieces.
-
-    ``adj`` is the closed-ball overlap matrix of the balls (diagonal True):
-    a birth writes the closed-ball row it computed anyway as the new row
-    and column, so deaths compute no distance.  ``labels`` and ``adj`` live
-    in the ball store, which grows and swap-removes them with the balls;
-    ``adj`` takes capacity^2 bytes: 64 KiB at a capacity of 256 balls,
-    16 MiB at 4096.  All of this is skipped when q == 1, where the weight
-    is flat and the target is plain Poisson; ``adj`` is then None.
+    The state is a frozen configuration and its component labelling; a move
+    replaces both.  ``proposals`` counts the balls drawn, ``accepted`` the
+    balls kept.
     """
 
     def __init__(self, window, z, law, q, rng):
@@ -646,124 +624,56 @@ class RandomClusterChain(_BirthDeathChain):
             raise ValueError("q must be finite and >= 1 (real values allowed)")
         if not 0 <= z < math.inf:
             raise ValueError("activity must be finite and nonnegative")
-        self.q = float(q)
-        self.track = self.q != 1.0
-        super().__init__(window, (float(z),), (law,), rng, cluster=self.track)
-        self.n_components = 0
-        self._next_label = 0
-
-    # traced per class: a profiler wraps the methods in each class's own dict
-    sweep, run = _BirthDeathChain.sweep, _BirthDeathChain.run
+        self.window, self.z, self.law, self.q = window, float(z), law, float(q)
+        self.rng = rng
+        self._state = Configuration.empty(window.dimension)
+        self._labeling = connected_components(self._state)
+        self.proposals = 0
+        self.accepted = 0
 
     @property
     def n(self):
-        return self.states[0].n
+        return len(self._state)
 
-    labels = property(lambda self: self.states[0].labels)
-    adj = property(lambda self: self.states[0].adj)
+    @property
+    def acceptance_rate(self):
+        return self.accepted / self.proposals if self.proposals else 0.0
 
-    def _birth_weight(self, i, x, r):
-        if not self.track:
-            return 1.0
-        buf = self.states[0]
-        n = buf.n
-        near = meets(buf.centers[:n], buf.radii[:n], x, r)
-        touched = sorted(set(buf.labels[:n][near].tolist()))
-        self._near, self._touched = near, touched  # for _add on acceptance
-        return self.q ** (1 - len(touched))
+    # a profiler wraps sweep, run, state and state_n_cc in the class's own
+    # dict, so they stay defined here
 
-    def _add(self, i, x, r):
-        buf = self.states[0]
-        buf.append(x, r)
-        if not self.track:
-            return
-        n = buf.n
-        if len(self._touched) == 0:
-            label = self._next_label
-            self._next_label += 1
-            self.n_components += 1
-        else:
-            label = self._touched[0]
-            lab = buf.labels[:n - 1]
-            for t in self._touched[1:]:
-                lab[lab == t] = label
-            self.n_components -= len(self._touched) - 1
-        buf.labels[n - 1] = label
-        buf.adj[n - 1, :n - 1] = buf.adj[:n - 1, n - 1] = self._near
-        buf.adj[n - 1, n - 1] = True
+    def sweep(self):
+        """One block move, its draws in the module docstring's order."""
+        state, labeling = self._state, self._labeling
+        active = self.rng.random(labeling.n_cc) < 1.0 / self.q
+        keep = ~active[_component_index(labeling)]
+        inactive = Configuration._frozen(state.centers[keep], state.radii[keep])
+        kept, drawn = colour_update(self.window, self.z, self.law, inactive,
+                                    self.rng)
+        self.proposals += drawn
+        self.accepted += len(kept)
+        self._state = Configuration._frozen(
+            np.concatenate([inactive.centers, kept.centers]),
+            np.concatenate([inactive.radii, kept.radii]))
+        self._labeling = connected_components(self._state)
 
-    def _death_weight(self, i, j):
-        if not self.track:
-            return 1.0
-        self._pieces, self._closed = self._death_pieces(j)  # for _delete
-        return self.q ** (self._pieces - 1)
-
-    def _delete(self, i, j):
-        if self.track:
-            self.n_components += self._pieces - 1
-            for g in self._closed:
-                self.labels[g] = self._next_label
-                self._next_label += 1
-        self.states[0].remove(j)
-
-    def _death_pieces(self, j):
-        """(piece count, closed-off pieces) of ball j's component once j is
-        deleted; exact, and read from ``adj`` alone.
-
-        Every piece holds a neighbour of j, so the rest is one piece when j
-        has at most one neighbour, when the neighbours all meet the largest
-        one, or, failing that, when they join up in their own block of
-        ``adj``.  Otherwise a BFS over ``adj`` seeded at the largest
-        unreached neighbour (it reaches the most balls in one step) either
-        reaches all remaining neighbours, and then the rest of the component
-        is one piece and the search stops, or runs dry and closes off one
-        piece; the next unreached neighbour seeds the next BFS.  The BFS
-        never leaves j's component, so it needs no label scan.  ``closed``
-        lists the ball indices of the closed-off pieces; the last piece is
-        not listed and keeps the component's label.
-        """
-        buf = self.states[0]
-        n, adj = buf.n, buf.adj
-        degree = np.count_nonzero(adj[j, :n]) - 1  # the diagonal is True
-        if degree <= 1:
-            return degree, []
-        unreached = adj[j, :n].copy()
-        unreached[j] = False
-        nb = unreached.nonzero()[0]
-        rad = buf.radii[:n]
-        top = nb[rad[nb].argmax()]
-        reach = adj[top, nb]
-        if reach.all():
-            return 1, []
-        meet = adj[np.ix_(nb, nb)]
-        size = 0
-        while size < np.count_nonzero(reach) < len(nb):  # grow until stuck or full
-            size = np.count_nonzero(reach)
-            reach = meet[reach].any(axis=0)
-        if reach.all():
-            return 1, []
-        unvisited = np.ones(n, dtype=bool)
-        unvisited[j] = False
-        closed = []
-        while True:
-            before = unvisited.copy()
-            frontier = [np.where(unreached, rad, -np.inf).argmax()]
-            while len(frontier):
-                unvisited[frontier] = False
-                unreached[frontier] = False
-                if not unreached.any():
-                    return len(closed) + 1, closed
-                hit = adj[frontier, :n].any(axis=0)
-                frontier = (hit & unvisited).nonzero()[0]
-            closed.append(np.flatnonzero(before & ~unvisited))
+    def run(self, sweeps):
+        for _ in range(sweeps):
+            self.sweep()
+        return self
 
     def state(self):
-        return self.states[0].snapshot()
+        return self._state
 
     def state_n_cc(self):
-        if self.track:
-            return self.n_components
-        return connected_components(self.state()).n_cc
+        return self._labeling.n_cc
+
+
+def _component_index(labeling):
+    """Per ball, the index of its component among the components in root
+    order (by smallest member), which indexes a per-component draw."""
+    labels = labeling.labels
+    return (labels == np.arange(len(labels))).cumsum()[labels] - 1
 
 
 def fk_coloring(config, q, rng):
@@ -774,10 +684,8 @@ def fk_coloring(config, q, rng):
         raise ValueError("q must be a positive integer")
     q = int(q)
     labeling = connected_components(config)
-    labels = labeling.labels
-    # a root's rank among the roots indexes the component's colour draw
-    rank = (labels == np.arange(len(labels))).cumsum() - 1
-    ball_colors = rng.integers(1, q + 1, size=labeling.n_cc)[rank[labels]]
+    ball_colors = rng.integers(1, q + 1,
+                               size=labeling.n_cc)[_component_index(labeling)]
     configs = []
     for color in range(1, q + 1):
         mask = ball_colors == color

@@ -281,7 +281,7 @@ def crcm_ncc_moment_check(params, n_values, sweeps, replicas, rng):
     """Does the mean component count of the cluster measure stay bounded as
     the slab grows at fixed cross-section?
 
-    Runs independent birth-death cluster chains on slabs of each length,
+    Runs independent cluster chains (block moves) on slabs of each length,
     takes the final-state component count per replica, and tests the trend.
     A plain Poisson reference (q = 1) at moderate activity grows linearly in
     n and must fail this check.

@@ -11,12 +11,11 @@ import numpy as np
 
 from wrsim import sampling
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
-from wrsim.components import connected_components
 from wrsim.geometry import Configuration, Window, meets
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
-                            MultiTypeConfiguration, RandomClusterChain,
-                            RejectionBudgetError, build_boundary,
-                            is_authorized, sample_multitype_poisson)
+                            MultiTypeConfiguration, RejectionBudgetError,
+                            build_boundary, is_authorized,
+                            sample_multitype_poisson)
 
 
 def bfs_ncc_oracle(config):
@@ -172,48 +171,84 @@ def reference_wr_chain(params, sweeps, rng):
     return state, proposals, accepted
 
 
-def reference_cluster_chain(window, z, law, q, sweeps, rng):
-    """The cluster kernel of :mod:`wrsim.sampling`'s docstring (one colour,
-    ratios times q^(delta N_cc)), run from empty for ``sweeps`` sweeps;
-    returns (state, proposals, accepted, N_cc of the state).
+def reference_block_moves(window, z, law, q, moves, rng):
+    """The cluster chain's block move of :mod:`wrsim.sampling`'s docstring,
+    run from empty for ``moves`` moves with labels from
+    :func:`bfs_ncc_oracle` and a dense thinning test; returns (state, balls
+    drawn, balls kept, N_cc of the state).
 
-    Draws come in the order of :func:`reference_wr_chain` without the
-    colours (there is one): per block of k proposals, k coins, k centres, k
-    radii, k death picks and k acceptance uniforms.  delta N_cc is the
-    change of :func:`bfs_ncc_oracle` between the state and the proposed
-    state; a death of ball floor(pick * n) moves the last ball into the
-    freed slot.
+    Per move: one uniform per component, components in order of their
+    smallest member (the oracle's labels), a component active when its
+    uniform is below 1/q; then the Poisson count, the centres
+    (``window.sample_points``) and the radii of the draw.  The new state is
+    the balls of inactive components in their old order, then the draws
+    that meet none of them, in draw order.
     """
     d = window.dimension
     centers, radii = np.empty((0, d)), np.empty(0)
-    n_cc = proposals = accepted = 0
-    for k in _blocks(max(1, math.ceil(z * window.volume)), sweeps):
-        coins = rng.random(k)
-        xs = window.sample_points(rng, k)
-        rs = law.sample(rng, k)
-        picks = rng.random(k)
-        uniforms = rng.random(k)
-        for t in range(k):
-            proposals += 1
-            n = len(radii)
-            if coins[t] < 0.5:
-                new_c = np.vstack([centers, xs[t]])
-                new_r = np.append(radii, float(rs[t]))
-                ratio = z * window.volume / (n + 1)
-            elif n > 0:
-                j = math.floor(picks[t] * n)
-                order = np.arange(n - 1)
-                if j < n - 1:
-                    order[j] = n - 1
-                new_c, new_r = centers[order], radii[order]
-                ratio = n / (z * window.volume)
-            else:
-                continue
-            new_cc, _ = bfs_ncc_oracle(Configuration(new_c, new_r))
-            if uniforms[t] < ratio * q ** (new_cc - n_cc):
-                centers, radii, n_cc = new_c, new_r, new_cc
-                accepted += 1
-    return Configuration(centers, radii), proposals, accepted, n_cc
+    drawn = kept = 0
+    for _ in range(moves):
+        n_cc, labels = bfs_ncc_oracle(Configuration(centers, radii))
+        roots = sorted(set(labels.tolist()))
+        active = dict(zip(roots, rng.random(n_cc) < 1.0 / q))
+        stay = np.array([not active[a] for a in labels.tolist()], dtype=bool)
+        centers, radii = centers[stay], radii[stay]
+        count = rng.poisson(z * window.volume)
+        xs = window.sample_points(rng, count)
+        rs = law.sample(rng, count)
+        free = np.array([not (((centers - x) ** 2).sum(axis=1)
+                               <= (radii + r) ** 2).any()
+                         for x, r in zip(xs, rs)], dtype=bool)
+        drawn += count
+        kept += int(free.sum())
+        centers = np.vstack([centers, xs[free]])
+        radii = np.concatenate([radii, rs[free]])
+    state = Configuration(centers, radii)
+    return state, drawn, kept, bfs_ncc_oracle(state)[0]
+
+
+def reference_cluster_chain(window, z, law, q, sweeps, rng):
+    """A birth-death chain for the cluster measure, an independent MCMC
+    oracle for the block move: the one-colour kernel of
+    :func:`reference_wr_chain` with each ratio times q^(delta N_cc), run
+    from empty for ``sweeps`` sweeps; yields (state, N_cc of the state)
+    after each sweep.
+
+    Per block of k proposals it draws k coins, k centres, k radii, k death
+    picks and k acceptance uniforms.  delta N_cc is the change of
+    :func:`bfs_ncc_oracle` between the state and the proposed state; a
+    death of ball floor(pick * n) moves the last ball into the freed slot.
+    """
+    d = window.dimension
+    per_sweep = max(1, math.ceil(z * window.volume))
+    centers, radii = np.empty((0, d)), np.empty(0)
+    n_cc = 0
+    for _ in range(sweeps):
+        for k in _blocks(per_sweep, 1):
+            coins = rng.random(k)
+            xs = window.sample_points(rng, k)
+            rs = law.sample(rng, k)
+            picks = rng.random(k)
+            uniforms = rng.random(k)
+            for t in range(k):
+                n = len(radii)
+                if coins[t] < 0.5:
+                    new_c = np.vstack([centers, xs[t]])
+                    new_r = np.append(radii, float(rs[t]))
+                    ratio = z * window.volume / (n + 1)
+                elif n > 0:
+                    j = math.floor(picks[t] * n)
+                    order = np.arange(n - 1)
+                    if j < n - 1:
+                        order[j] = n - 1
+                    new_c, new_r = centers[order], radii[order]
+                    ratio = n / (z * window.volume)
+                else:
+                    continue
+                new_cc, _ = bfs_ncc_oracle(Configuration(new_c, new_r))
+                if uniforms[t] < ratio * q ** (new_cc - n_cc):
+                    centers, radii, n_cc = new_c, new_r, new_cc
+        yield Configuration(centers, radii), n_cc
 
 
 def reference_rejection(params, rng, max_attempts=100000):
@@ -370,21 +405,3 @@ def ks_distance_to_cdf(sample, cdf):
     fn_left = np.searchsorted(x, pts, side="left") / n
     return max(np.max(np.abs(fn_right - f_right)),
                np.max(np.abs(fn_left - f_left)))
-
-
-def loaded_chain(centers, radii, q=2.0, rng=None):
-    """A cluster chain holding the given balls in order, each added through
-    the chain's own accepted-birth path (so its overlap matrix is built as a
-    run builds it), then labelled from scratch."""
-    centers = np.asarray(centers, dtype=float)
-    chain = RandomClusterChain(Window.cube(10.0, centers.shape[1]), 1.0,
-                               DiracRadius(0.5), q,
-                               rng or np.random.default_rng(0))
-    for x, r in zip(centers, radii):
-        chain._birth_weight(0, x, float(r))
-        chain._add(0, x, float(r))
-    labeling = connected_components(Configuration(centers, np.asarray(radii, float)))
-    chain.labels[:len(radii)] = labeling.labels
-    chain.n_components = labeling.n_cc
-    chain._next_label = len(radii)
-    return chain

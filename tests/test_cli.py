@@ -868,11 +868,11 @@ class TestMain:
             assert "sweeps=20" in run_meta and "ess_count=" in run_meta
 
     def test_crcm_sample_dump_matches_golden_bytes(self, tmp_path):
-        # a q = 2 cluster chain on uniform radii whose ball count passes 128
-        # and whose deaths split components: the committed dump fixes every
-        # centre and radius it ends with, so a change to the chain's state
-        # handling that alters one draw or one piece count shows here.  q = 2
-        # and uniform radii keep pow and FFT rounding out of the file.
+        # ten block moves of a q = 2 cluster chain on uniform radii, ending
+        # with 134 balls in 77 components: the committed dump fixes every
+        # centre and radius it ends with, so a change to the move that alters
+        # one activity draw or one thinning decision shows here.  q = 2 and
+        # uniform radii keep pow and FFT rounding out of the file.
         raw = {"experiment": "crcm-sample", "seed": 7, "sweeps": 10,
                "out": str(tmp_path / "golden"), "dump_samples": True,
                "params": {"q": 2, "z": 1.0,

@@ -121,7 +121,7 @@ def _cluster_q2():
 CHAIN_CASES = {
     "wr-q3-ordered": (_wr_ordered_q3, 10, "14d0b7218b7f382c81b4"),
     "wr-q2-two-blocks": (_wr_large_q2, 1, "107eab932d8901a17d68"),
-    "cluster-q2": (_cluster_q2, 20, "8b6e6f07f22f3a0049e2"),
+    "cluster-q2": (_cluster_q2, 20, "7af8e353f6a8c74c1cfd"),
 }
 
 
@@ -131,6 +131,6 @@ def test_chain_sweep_stream(name):
     chain = make().run(sweeps)
     state = chain.state()
     configs = state.configs if hasattr(state, "configs") else (state,)
-    extra = getattr(chain, "n_components", 0)
+    extra = chain.state_n_cc() if hasattr(chain, "state_n_cc") else 0
     assert _digest(chain.rng, chain.proposals, chain.accepted, extra,
                    *[a for c in configs for a in (c.centers, c.radii)]) == want

@@ -1,11 +1,15 @@
 """``geometry.meets_any`` against the dense all-pairs mask: d = 1..3, Dirac,
 Pareto(0.5) and Pareto(1.2) radii, zero radii, tangent balls on a
 half-integer lattice, balls of ``b`` on both sides of its split radius, and
-an empty ``a`` or ``b``."""
+an empty ``a`` or ``b``; on both sides of the cut-over to one dense test."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrsim import geometry
 from wrsim.geometry import Configuration, meets_any
 
 
@@ -52,17 +56,23 @@ def cases(draw):
     return draw(ball_sets(d, side)), draw(ball_sets(d, side))
 
 
+# up to 40 balls a side always lands on the dense test; a cut-over of 0
+# sends every case through the strips and the k-d tree
+@pytest.mark.parametrize("dense_pairs", [geometry._DENSE_PAIRS, 0])
 @settings(max_examples=400, deadline=None)
-@given(cases())
-def test_meets_any_matches_dense_mask(case):
+@given(case=cases())
+def test_meets_any_matches_dense_mask(dense_pairs, case):
     a, b = case
-    got = meets_any(a, b)
+    with mock.patch.object(geometry, "_DENSE_PAIRS", dense_pairs):
+        got = meets_any(a, b)
     assert got.dtype == bool and got.shape == (len(a),)
     assert np.array_equal(got, dense_meets(a, b))
 
 
-def test_large_balls_cover_everything_before_the_tree():
-    # two balls of b above its 90th-percentile radius hold every ball of a
+def test_large_balls_cover_everything_before_the_tree(monkeypatch):
+    # two balls of b above its 90th-percentile radius hold every ball of a;
+    # 50 x 20 pairs would take the dense test, so the cut-over is lowered
+    monkeypatch.setattr(geometry, "_DENSE_PAIRS", 0)
     rng = np.random.default_rng(3)
     a = Configuration(10.0 * rng.random((50, 2)), 0.1 * rng.random(50))
     radii = np.full(20, 0.01)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from wrsim import sampling
-from wrsim.geometry import Configuration, Window, _sq_dist
+from wrsim.geometry import Configuration, Window
 from wrsim.distributions import (AtomMixtureRadius, DiracRadius,
                                  ParetoRadius, UniformRadius)
 from wrsim.components import connected_components
@@ -22,9 +22,9 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             load_multitype_configuration)
 from wrsim.sampling import (FLOAT_FORMAT, _AUTH_CHUNK, _batch_authorized,
                             _extract_mc)
-from helpers import (ORACLE_LAWS, loaded_chain, oracle_params,
-                     reference_cluster_chain, reference_rejection,
-                     reference_wr_chain)
+from helpers import (ORACLE_LAWS, bfs_ncc_oracle, oracle_params,
+                     reference_block_moves, reference_cluster_chain,
+                     reference_rejection, reference_wr_chain)
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -444,39 +444,28 @@ def test_death_pick_names_a_ball():
     assert np.array_equal(np.floor(u * n), n - 1)
 
 
-class TestCRCMChainOracle:
-    """Same seed, same result: the cluster chain against a dense
-    transcription of its kernel (``helpers.reference_cluster_chain``)."""
-
-    def check(self, window, law, q, seed, sweeps):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        chain = RandomClusterChain(window, 0.8, law, q, rng)
-        chain.run(sweeps)
-        ref, proposals, accepted, n_cc = reference_cluster_chain(
-            window, 0.8, law, q, sweeps, ref_rng)
-        assert (chain.proposals, chain.accepted) == (proposals, accepted)
-        assert accepted > 0
-        assert chain.state_n_cc() == n_cc
-        if q != 1:
-            assert chain.n_components == n_cc
-        got = chain.state()
-        assert got.centers.tobytes() == ref.centers.tobytes()
-        assert got.radii.tobytes() == ref.radii.tobytes()
-        assert same_next_draw(rng, ref_rng)
+class TestBlockMoveOracle:
+    """Same seed, same result: the cluster chain's block moves against a
+    dense transcription of the move (``helpers.reference_block_moves``)."""
 
     @pytest.mark.parametrize("q", [1, 1.7, 2, 3])
     @pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda l: repr(l))
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_reference_kernel(self, d, law, q):
+    def test_matches_reference_move(self, d, law, q):
         window = oracle_params(d, law, 1, "free", seed=0).window
-        self.check(window, law, q, 80 + 10 * d + int(10 * q), 25)
-
-    @pytest.mark.parametrize("block", [1, 3])
-    @pytest.mark.parametrize("law", ORACLE_LAWS[2:], ids=lambda l: repr(l))
-    def test_blocks_cut_a_sweep(self, monkeypatch, law, block):
-        # a sweep of 8 proposals drawn in 8 blocks, or in 3 (3 + 3 + 2)
-        monkeypatch.setattr(sampling, "_BLOCK", block)
-        self.check(Window.cube(3.0, 2), law, 2, 95, 12)
+        seed = 80 + 10 * d + int(10 * q)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chain = RandomClusterChain(window, 0.8, law, q, rng).run(25)
+        ref, drawn, kept, n_cc = reference_block_moves(window, 0.8, law, q,
+                                                       25, ref_rng)
+        assert (chain.proposals, chain.accepted) == (drawn, kept)
+        # at q = 1 every component is active, so no draw is ever blocked
+        assert 0 < kept and (kept < drawn) == (q > 1)
+        assert chain.state_n_cc() == n_cc
+        got = chain.state()
+        assert got.centers.tobytes() == ref.centers.tobytes()
+        assert got.radii.tobytes() == ref.radii.tobytes()
+        assert same_next_draw(rng, ref_rng)
 
 
 class TestCRCMChain:
@@ -513,14 +502,14 @@ class TestCRCMChain:
                                    2, np.random.default_rng(21))
         for _ in range(60):
             chain.run(3)
-            assert chain.n_components == connected_components(chain.state()).n_cc
+            assert chain.state_n_cc() == connected_components(chain.state()).n_cc
 
     def test_tracked_ncc_matches_recomputed_heavy_tail(self):
         chain = RandomClusterChain(Window.cube(3.0, 2), 1.0, ParetoRadius(1.2, 0.3),
                                    1.7, np.random.default_rng(22))
         for _ in range(40):
             chain.run(3)
-            assert chain.n_components == connected_components(chain.state()).n_cc
+            assert chain.state_n_cc() == connected_components(chain.state()).n_cc
 
     def test_mean_ncc_matches_importance_sampling(self):
         # CRCM expectation E[f] = E_P[f q^Ncc] / E_P[q^Ncc] with P the plain
@@ -540,7 +529,7 @@ class TestCRCMChain:
         for s in range(12000):
             chain.sweep()
             if s >= 2000:
-                vals.append(chain.n_components)
+                vals.append(chain.state_n_cc())
         vals = np.array(vals, dtype=float)
         se_chain = math.sqrt(vals.var() / effective_sample_size(vals))
         assert abs(vals.mean() - oracle) < 3 * math.hypot(se_oracle, se_chain)
@@ -562,47 +551,14 @@ class TestCRCMChain:
     def test_real_valued_q_allowed(self):
         chain = RandomClusterChain(WINDOW, 0.5, LAW, 1.5, np.random.default_rng(26))
         chain.run(20)
-        assert chain.n_components == connected_components(chain.state()).n_cc
+        assert chain.state_n_cc() == connected_components(chain.state()).n_cc
 
     def test_infinite_q_refused(self):
-        # q = inf gives births weights of inf and 0, so the chain would run
-        # on meaningless ratios; it is refused as z = inf is
+        # q = inf makes 1/q = 0: no component is ever active, so the chain
+        # would keep its first draw for ever; it is refused as z = inf is
         with pytest.raises(ValueError, match="finite"):
             RandomClusterChain(WINDOW, 0.5, LAW, math.inf,
                                np.random.default_rng(0))
-
-
-def same_partition(a, b):
-    """True iff two per-ball label arrays induce the same partition."""
-    a, b = np.asarray(a), np.asarray(b)
-    if len(a) != len(b):
-        return False
-    pairs = len(set(zip(a.tolist(), b.tolist())))
-    return pairs == len(set(a.tolist())) == len(set(b.tolist()))
-
-
-def assert_labels_exact(chain):
-    """Labels, component count and overlap matrix against a from-scratch
-    labelling and closed-ball test."""
-    labeling = connected_components(chain.state())
-    assert chain.n_components == labeling.n_cc
-    assert same_partition(chain.labels[:chain.n], labeling.labels)
-    c, r = chain.states[0].view()
-    meets = _sq_dist(c[:, None, :], c) <= (r[:, None] + r) ** 2
-    assert np.array_equal(chain.adj[:chain.n, :chain.n], meets)
-
-
-def record_pieces(chain):
-    """Wrap the chain's death split so every piece count it returns is kept."""
-    seen = []
-    search = chain._death_pieces
-
-    def recorded(j):
-        out = search(j)
-        seen.append(out[0])
-        return out
-    chain._death_pieces = recorded
-    return seen
 
 
 def slab_chain_args(n, z, law):
@@ -611,145 +567,72 @@ def slab_chain_args(n, z, law):
     return slab.window, slab.z, slab.law, slab.q
 
 
-class TestCRCMExactness:
-    """The incremental labels must give the from-scratch partition after
-    every sweep, on chains whose deaths split components."""
+def mean_and_se(series):
+    """Mean of a chain series and its standard error over the series'
+    effective sample size."""
+    x = np.asarray(series, dtype=float)
+    return x.mean(), math.sqrt(x.var() / effective_sample_size(x))
 
-    @pytest.mark.parametrize("args, sweeps", [
-        # z = 0.5: at z = 6 the heavy tail joins the whole slab into one
-        # component once it has filled, so deaths met splits only in the
-        # first five sweeps from empty, and only on about a third of 120
-        # seeds within 100 sweeps; at z = 0.5 each of 300 seeds met one
-        # within 100 sweeps, with scalar draws and with block draws alike
-        (slab_chain_args(n=16.0, z=0.5, law=ParetoRadius(0.5, 0.5)), 100),
-        (slab_chain_args(n=30.0, z=3.0, law=DiracRadius(0.8)), 10),
-        ((Window.cube(3.0, 3), 3.0, ParetoRadius(0.5, 0.05), 2.0), 30),
-        ((Window.cube(3.0, 2), 1.5, UniformRadius(0.1, 0.7), 1.7), 40),
-    ], ids=["slab-pareto0.5", "slab-dirac0.8", "3d-pareto0.5", "q1.7"])
-    def test_labels_match_recomputed_every_sweep(self, args, sweeps):
+
+class TestBlockMoveExactness:
+    """The block move samples the cluster measure: against exact draws, a
+    birth-death chain at real q, and a from-scratch labelling."""
+
+    def test_matches_projected_rejection_at_c03_point(self):
+        # c03's point: colour-blind WR rejection draws (z = 0.5 per colour,
+        # q = 2) are exact draws of the cluster measure at z = 0.5, q = 2;
+        # means of n and n_cc agree within 3 combined SE
+        params = GibbsParams.symmetric(2, 0.5, LAW, WINDOW)
+        samples, _ = sample_wr_rejection_many(params, 20000,
+                                              np.random.default_rng(34))
+        exact = {"n": [mc.total_count() for mc in samples],
+                 "n_cc": [connected_components(mc.merged()[0]).n_cc
+                          for mc in samples]}
+        chain = RandomClusterChain(WINDOW, 0.5, LAW, 2,
+                                   np.random.default_rng(35))
+        series = {"n": [], "n_cc": []}
+        for _ in range(20000):
+            chain.sweep()
+            series["n"].append(chain.n)
+            series["n_cc"].append(chain.state_n_cc())
+        for name, x in series.items():
+            mean, se = mean_and_se(x)
+            r = np.asarray(exact[name], dtype=float)
+            se = math.hypot(se, r.std() / math.sqrt(len(r)))
+            assert abs(mean - r.mean()) <= 3 * se, (name, mean, r.mean(), se)
+
+    def test_real_q_matches_birth_death_oracle(self):
+        # q = 2.5 with heavy-tailed radii: means of n and n_cc against the
+        # birth-death reference chain, each series past a tenth burn-in,
+        # within 3 combined SE
+        window, z, law, q = Window.cube(3.0, 2), 1.0, ParetoRadius(1.2, 0.2), 2.5
+        ref = [(len(state), n_cc) for state, n_cc in reference_cluster_chain(
+            window, z, law, q, 3000, np.random.default_rng(36))][300:]
+        chain = RandomClusterChain(window, z, law, q, np.random.default_rng(37))
+        moves = []
+        for _ in range(5000):
+            chain.sweep()
+            moves.append((chain.n, chain.state_n_cc()))
+        for k, name in enumerate(("n", "n_cc")):
+            mean, se = mean_and_se([m[k] for m in moves[500:]])
+            ref_mean, ref_se = mean_and_se([r[k] for r in ref])
+            assert abs(mean - ref_mean) <= 3 * math.hypot(se, ref_se), \
+                (name, mean, ref_mean)
+
+    @pytest.mark.parametrize("args", [
+        slab_chain_args(n=16.0, z=0.5, law=ParetoRadius(0.5, 0.5)),
+        slab_chain_args(n=16.0, z=6.0, law=ParetoRadius(0.5, 0.5)),
+        (Window.cube(3.0, 3), 3.0, ParetoRadius(0.5, 0.05), 2.0),
+        (Window.cube(2.5, 3), 1.5, ParetoRadius(1.2, 0.2), 1.7),
+    ], ids=["slab-pareto0.5-z0.5", "slab-pareto0.5-z6", "3d-pareto0.5",
+            "3d-pareto1.2-q1.7"])
+    def test_state_n_cc_matches_recomputed_every_move(self, args):
         chain = RandomClusterChain(*args, np.random.default_rng(31))
-        pieces = record_pieces(chain)
-        for _ in range(sweeps):
+        for _ in range(60):
             chain.sweep()
-            assert_labels_exact(chain)
-        assert max(pieces) >= 2  # some death proposal met a real split
-
-    def test_overlap_matrix_grows_with_the_buffer(self):
-        # from empty past 128 balls: checked right after every doubling of
-        # the capacity (the accepted birth that made it) and after every
-        # sweep
-        chain = RandomClusterChain(Window.cube(12.0, 2), 1.0,
-                                   UniformRadius(0.2, 0.6), 2.0,
-                                   np.random.default_rng(32))
-        seen = set()
-        add = chain._add
-
-        def checked(i, x, r):
-            add(i, x, r)
-            if len(chain.adj) not in seen:
-                seen.add(len(chain.adj))
-                assert_labels_exact(chain)
-        chain._add = checked
-        for _ in range(10):
-            chain.sweep()
-            assert_labels_exact(chain)
-        assert seen >= {8, 16, 32, 64, 128, 256}
-        assert len(chain.adj) == len(chain.labels) == len(chain.states[0].radii)
-
-    def test_flat_weight_keeps_no_matrix(self):
-        chain = RandomClusterChain(WINDOW, 0.8, LAW, 1,
-                                   np.random.default_rng(33)).run(5)
-        assert chain.n > 0 and chain.adj is None
-
-
-class _ScriptedRng:
-    """Stands in for a generator: each ``random`` call returns the next
-    scripted array, which must have the requested shape; the one colour of
-    a cluster chain takes no draw."""
-
-    def __init__(self, *arrays):
-        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
-
-    def random(self, size):
-        out = self.arrays.pop(0)
-        assert out.shape == np.empty(size).shape
-        return out
-
-    def integers(self, high, size):
-        assert high == 1
-        return np.zeros(size, dtype=np.int64)
-
-
-class TestDeathSplit:
-    def test_path_middle_removed_two_pieces(self):
-        chain = loaded_chain([[1, 1], [2, 1], [3, 1]], [0.5] * 3)
-        pieces, closed = chain._death_pieces(1)
-        assert pieces == 2
-        assert [sorted(g.tolist()) for g in closed] in ([[0]], [[2]])
-
-    def test_star_centre_removed_three_pieces(self):
-        chain = loaded_chain([[5, 5], [6, 5], [5, 6], [4, 5]], [0.5] * 4)
-        pieces, closed = chain._death_pieces(0)
-        assert pieces == 3
-        assert len(closed) == 2
-
-    def test_ring_one_piece(self):
-        angles = np.arange(8) * 2 * np.pi / 8
-        centers = 5 + 2 * np.column_stack([np.cos(angles), np.sin(angles)])
-        chain = loaded_chain(centers, [0.8] * 8)
-        assert connected_components(chain.state()).n_cc == 1
-        for j in range(8):
-            assert chain._death_pieces(j) == (1, [])
-
-    def test_big_ball_meeting_every_leaf_one_piece(self):
-        # the leaves meet the removed centre and the big ball but never each
-        # other: the star on the largest neighbour joins them
-        leaves = [[6, 5], [4, 5], [5, 6], [5, 4]]
-        chain = loaded_chain([[5, 5]] + leaves + [[5.2, 5]], [0.5] * 5 + [2.0])
-        assert chain._death_pieces(0) == (1, [])
-        assert loaded_chain(leaves, [0.5] * 4).n_components == 4
-
-    def test_dirac_triangle_fan_one_piece(self):
-        # equal balls on an arc around the removed one: each meets only its
-        # arc neighbours, so no neighbour meets all the others, yet the fan
-        # of triangles joins them
-        angles = np.radians([0, 50, 100, 150, 200])
-        fan = 5 + 0.9 * np.column_stack([np.cos(angles), np.sin(angles)])
-        chain = loaded_chain(np.vstack([[5, 5], fan]), [0.5] * 6)
-        assert chain._death_pieces(0) == (1, [])
-        assert loaded_chain(fan[[0, 2, 4]], [0.5] * 3).n_components == 3
-
-    def test_isolated_ball_no_piece(self):
-        chain = loaded_chain([[1, 1], [5, 5], [5.5, 5]], [0.3] * 3)
-        assert chain._death_pieces(0) == (0, [])
-        assert chain._death_pieces(1) == (1, [])
-
-    def test_split_far_from_the_removed_ball(self):
-        # two long arms that only meet at the removed ball: each BFS must
-        # run the whole arm before the split is known
-        arm = [[5 + 0.9 * t, 5] for t in range(1, 7)]
-        other = [[5 - 0.9 * t, 5] for t in range(1, 7)]
-        chain = loaded_chain([[5, 5]] + arm + other, [0.5] * 13)
-        pieces, closed = chain._death_pieces(0)
-        assert pieces == 2
-        assert sorted(closed[0].tolist()) in (list(range(1, 7)),
-                                              list(range(7, 13)))
-
-    def test_accepted_split_keeps_labels_exact(self):
-        # star plus a separate pair; a one-proposal sweep proposes the death
-        # of the centre with uniforms that force acceptance
-        centers = [[5, 5], [6, 5], [5, 6], [4, 5], [1, 1], [1.5, 1]]
-        rng = _ScriptedRng([0.9], [[0.5, 0.5]], [0.0], [0.0])  # coin, centre,
-        chain = loaded_chain(centers, [0.5] * 6, rng=rng)    # pick, accept
-        chain.proposals_per_sweep = 1
-        assert chain.n_components == 2
-        chain.sweep()
-        assert not rng.arrays  # the Dirac law draws no radius
-        assert chain.n == 5 and chain.n_components == 4
-        assert_labels_exact(chain)
-        # the star had label 0 and the pair label 4; two leaves were closed
-        # off with fresh labels, the last leaf kept 0
-        assert sorted(set(chain.labels[:chain.n].tolist())) == [0, 4, 6, 7]
+            state = chain.state()
+            assert chain.state_n_cc() == connected_components(state).n_cc
+            assert chain.state_n_cc() == bfs_ncc_oracle(state)[0]
 
 
 class TestFKColoring:
