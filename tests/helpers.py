@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from wrsim import sampling
+from wrsim.components import connected_components
 from wrsim.distributions import DiracRadius, ParetoRadius, UniformRadius
 from wrsim.geometry import Configuration, Window, meets
 from wrsim.sampling import (BoundaryCondition, GibbsParams,
@@ -171,11 +172,11 @@ def reference_wr_chain(params, sweeps, rng):
     return state, proposals, accepted
 
 
-def reference_block_moves(window, z, law, q, moves, rng):
+def reference_block_moves(window, z, law, q, moves, rng, start=None):
     """The cluster chain's block move of :mod:`wrsim.sampling`'s docstring,
-    run from empty for ``moves`` moves with labels from
-    :func:`bfs_ncc_oracle` and a dense thinning test; returns (state, balls
-    drawn, balls kept, N_cc of the state).
+    run from ``start`` (empty when None) for ``moves`` moves with labels
+    from :func:`bfs_ncc_oracle` and a dense thinning test; returns (state,
+    balls drawn, balls kept, N_cc of the state).
 
     Per move: one uniform per component, components in order of their
     smallest member (the oracle's labels), a component active when its
@@ -184,8 +185,9 @@ def reference_block_moves(window, z, law, q, moves, rng):
     the balls of inactive components in their old order, then the draws
     that meet none of them, in draw order.
     """
-    d = window.dimension
-    centers, radii = np.empty((0, d)), np.empty(0)
+    if start is None:
+        start = Configuration.empty(window.dimension)
+    centers, radii = start.centers, start.radii
     drawn = kept = 0
     for _ in range(moves):
         n_cc, labels = bfs_ncc_oracle(Configuration(centers, radii))
@@ -205,6 +207,15 @@ def reference_block_moves(window, z, law, q, moves, rng):
         radii = np.concatenate([radii, rs[free]])
     state = Configuration(centers, radii)
     return state, drawn, kept, bfs_ncc_oracle(state)[0]
+
+
+def loaded_chain(window, z, law, q, start, rng):
+    """A cluster chain whose state is ``start``, labelled from scratch, as
+    if a move had just left it there."""
+    chain = sampling.RandomClusterChain(window, z, law, q, rng)
+    chain._state = start
+    chain._labeling = connected_components(chain._state)
+    return chain
 
 
 def reference_cluster_chain(window, z, law, q, sweeps, rng):

@@ -22,9 +22,10 @@ from wrsim.sampling import (MultiTypeConfiguration, BoundaryCondition,
                             load_multitype_configuration)
 from wrsim.sampling import (FLOAT_FORMAT, _AUTH_CHUNK, _batch_authorized,
                             _extract_mc)
-from helpers import (ORACLE_LAWS, bfs_ncc_oracle, oracle_params,
-                     reference_block_moves, reference_cluster_chain,
-                     reference_rejection, reference_wr_chain)
+from helpers import (ORACLE_LAWS, balls_overlap, bfs_ncc_oracle,
+                     loaded_chain, oracle_params, reference_block_moves,
+                     reference_cluster_chain, reference_rejection,
+                     reference_wr_chain)
 from wrsim.slab import SlabParams
 
 LAW = DiracRadius(0.5)
@@ -624,8 +625,13 @@ class TestBlockMoveExactness:
         slab_chain_args(n=16.0, z=6.0, law=ParetoRadius(0.5, 0.5)),
         (Window.cube(3.0, 3), 3.0, ParetoRadius(0.5, 0.05), 2.0),
         (Window.cube(2.5, 3), 1.5, ParetoRadius(1.2, 0.2), 1.7),
+        slab_chain_args(n=30.0, z=3.0, law=DiracRadius(0.8)),
+        (Window.cube(3.0, 2), 1.5, UniformRadius(0.1, 0.7), 1.7),
+        # about 150 balls: past the 64 balls labelled by dense propagation
+        (Window.cube(12.0, 2), 1.0, UniformRadius(0.2, 0.6), 2.0),
     ], ids=["slab-pareto0.5-z0.5", "slab-pareto0.5-z6", "3d-pareto0.5",
-            "3d-pareto1.2-q1.7"])
+            "3d-pareto1.2-q1.7", "slab-dirac0.8", "uniform-q1.7",
+            "uniform-sparse-graph"])
     def test_state_n_cc_matches_recomputed_every_move(self, args):
         chain = RandomClusterChain(*args, np.random.default_rng(31))
         for _ in range(60):
@@ -633,6 +639,105 @@ class TestBlockMoveExactness:
             state = chain.state()
             assert chain.state_n_cc() == connected_components(state).n_cc
             assert chain.state_n_cc() == bfs_ncc_oracle(state)[0]
+
+
+def path_star_pair():
+    """Three components: a path of three balls (0, 2, 5), a star of four
+    (1, 3, 4, 6) and a pair (7, 8), interleaved so that no component's
+    balls are contiguous; roots 0, 1 and 7."""
+    centers = [[1, 1], [5, 5], [2, 1], [6, 5], [5, 6], [3, 1], [4, 5],
+               [8, 8], [8.5, 8]]
+    return Configuration(np.array(centers, dtype=float), np.full(9, 0.5))
+
+
+class TestComponentIndex:
+    @pytest.mark.parametrize("centers, radii, want", [
+        (np.empty((0, 2)), [], []),
+        ([[0, 0], [5, 0], [2, 0]], [0.5] * 3, [0, 1, 2]),
+        (path_star_pair().centers, path_star_pair().radii,
+         [0, 1, 0, 1, 1, 0, 1, 2, 2]),
+        # tangent chain 0-2-1 and a zero-radius ball 3 inside ball 0
+        ([[0, 0], [2, 0], [1, 0], [0.2, 0]], [0.5, 0.5, 0.5, 0.0],
+         [0, 0, 0, 0]),
+    ], ids=["empty", "isolated", "interleaved", "tangent"])
+    def test_ranks_components_by_smallest_member(self, centers, radii, want):
+        labeling = connected_components(Configuration(centers, radii))
+        got = sampling._component_index(labeling)
+        assert got.tolist() == want
+        _, oracle = bfs_ncc_oracle(Configuration(centers, radii))
+        roots = sorted(set(oracle.tolist()))
+        assert got.tolist() == [roots.index(a) for a in oracle.tolist()]
+
+
+class TestColourUpdate:
+    def test_no_blockers_keeps_the_whole_draw(self):
+        kept, drawn = sampling.colour_update(
+            WINDOW, 2.0, LAW, Configuration.empty(2), np.random.default_rng(40))
+        draw = sample_poisson(WINDOW, 2.0, LAW, np.random.default_rng(40))
+        assert drawn == len(draw) > 0
+        assert kept.centers.tobytes() == draw.centers.tobytes()
+        assert kept.radii.tobytes() == draw.radii.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keeps_exactly_the_draws_that_meet_no_blocker(self, d):
+        window = Window.cube(4.0, d)
+        law = UniformRadius(0.0, 0.4)
+        rng = np.random.default_rng(41 + d)
+        blockers = sample_poisson(window, 0.5, law, rng)
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = rng.bit_generator.state
+        kept, drawn = sampling.colour_update(window, 1.5, law, blockers, rng)
+        draw = sample_poisson(window, 1.5, law, ref_rng)
+        free = [not any(balls_overlap(ball, blocker)
+                        for blocker in zip(blockers.centers, blockers.radii))
+                for ball in zip(draw.centers, draw.radii)]
+        assert drawn == len(draw)
+        assert 0 < sum(free) < len(draw)
+        assert kept.centers.tobytes() == draw.centers[free].tobytes()
+        assert kept.radii.tobytes() == draw.radii[free].tobytes()
+        assert same_next_draw(rng, ref_rng)
+
+    def test_blocker_over_the_window_keeps_nothing(self):
+        blocker = Configuration([[1.5, 1.5]], [3.0])
+        kept, drawn = sampling.colour_update(WINDOW, 2.0, LAW, blocker,
+                                             np.random.default_rng(44))
+        assert drawn > 0 and len(kept) == 0
+        assert kept.centers.shape == (0, 2)
+
+
+class TestBlockMoveOnGivenStates:
+    """Moves at z = 0 draw no ball, so a move leaves exactly the balls of
+    the components whose uniform is not below 1/q."""
+
+    # the uniforms of seed 50 are 0.787, 0.834 and 0.548: these q keep no
+    # component, the star, the path and the star, and all three
+    @pytest.mark.parametrize("q", [1, 1.25, 1.5, 3.5])
+    def test_keeps_the_inactive_components_in_order(self, q):
+        start = path_star_pair()
+        chain = loaded_chain(WINDOW, 0.0, LAW, q, start,
+                             np.random.default_rng(50))
+        u = np.random.default_rng(50).random(3)  # path, star, pair
+        chain.sweep()
+        comp = np.array([0, 1, 0, 1, 1, 0, 1, 2, 2])
+        stay = (u >= 1.0 / q)[comp]
+        assert (chain.proposals, chain.accepted) == (0, 0)
+        assert chain.state().centers.tobytes() == start.centers[stay].tobytes()
+        assert chain.state_n_cc() == int((u >= 1.0 / q).sum())
+
+    def test_q1_move_keeps_no_old_ball(self):
+        # every component is active at q = 1: the move is a fresh Poisson
+        # draw, its uniforms drawn all the same
+        chain = RandomClusterChain(WINDOW, 1.0, UniformRadius(0.1, 0.9), 1,
+                                   np.random.default_rng(51)).run(5)
+        before = chain.state()
+        rng = np.random.default_rng()
+        rng.bit_generator.state = chain.rng.bit_generator.state
+        rng.random(chain.state_n_cc())
+        chain.sweep()
+        draw = sample_poisson(WINDOW, 1.0, UniformRadius(0.1, 0.9), rng)
+        assert len(before) > 0 and chain.accepted == chain.proposals
+        assert chain.state().centers.tobytes() == draw.centers.tobytes()
+        assert chain.state().radii.tobytes() == draw.radii.tobytes()
 
 
 class TestFKColoring:
